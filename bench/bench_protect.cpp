@@ -14,12 +14,14 @@
 //   1. drain-replay microbench on a raw View: PermBatch commit vs the
 //      historical per-page Protect loop (wall-clock per page, syscalls);
 //   2. an acquire-invalidation-heavy producer/sweeping-consumer kernel at
-//      32:4 through the full runtime, batched vs unbatched
-//      (Config::vm.batch_mprotect), reduction measured from the traces;
-//   3. SOR at 32:4 syscall-counter context rows.
+//      32:4 through the full runtime, with the drain-site pages per
+//      mprotect measured from the trace. An unbatched drain issues one
+//      syscall per page, so this ratio is the drain-site reduction;
+//   3. SOR at 32:4 syscall-counter context row.
 //
-// Exit status is nonzero if any run fails verification or the drain-site
-// reduction falls below 4x. Results go to stdout and BENCH_protect.json.
+// Exit status is nonzero if any run fails verification or the drain sites
+// coalesce fewer than 4 pages per syscall. Results go to stdout and
+// BENCH_protect.json.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -118,7 +120,7 @@ struct DrainProfile {
 // hands every consumer an acquire drain of kKernelPages contiguous
 // invalidations and the producer a release downgrade of the same span —
 // the drain shapes the batch engine exists to coalesce.
-DrainProfile RunKernel(bool batch_mprotect) {
+DrainProfile RunKernel() {
   Config cfg;
   cfg.protocol = ProtocolVariant::kTwoLevel;
   cfg.nodes = 8;
@@ -126,7 +128,6 @@ DrainProfile RunKernel(bool batch_mprotect) {
   cfg.heap_bytes = 64 * kPageBytes;
   cfg.first_touch = false;
   cfg.cost.time_scale = 10.0;
-  cfg.vm.batch_mprotect = batch_mprotect;
   cfg.trace.enabled = true;
   cfg.trace.ring_events = 1u << 18;
 
@@ -209,59 +210,42 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
                 static_cast<unsigned long long>(r.batched_syscalls_per_drain));
   }
 
-  // Section 2: full-runtime kernel, batched vs unbatched.
-  const DrainProfile batched = RunKernel(/*batch_mprotect=*/true);
-  const DrainProfile unbatched = RunKernel(/*batch_mprotect=*/false);
+  // Section 2: full-runtime kernel.
+  const DrainProfile kernel = RunKernel();
   const double coalesce =
-      batched.drain_calls > 0
-          ? static_cast<double>(batched.drain_pages) / static_cast<double>(batched.drain_calls)
+      kernel.drain_calls > 0
+          ? static_cast<double>(kernel.drain_pages) / static_cast<double>(kernel.drain_calls)
           : 0.0;
-  const double cross = batched.drain_calls > 0
-                           ? static_cast<double>(unbatched.drain_calls) /
-                                 static_cast<double>(batched.drain_calls)
-                           : 0.0;
   std::printf("\nProducer/sweeping-consumer kernel, 32:4 2L, %d pages x %d rounds\n",
               kKernelPages, kKernelRounds);
-  std::printf("%-34s %14s %14s\n", "", "batched", "per-page");
   bench::PrintRule(64);
-  std::printf("%-34s %14llu %14llu\n", "drain-site mprotect calls",
-              static_cast<unsigned long long>(batched.drain_calls),
-              static_cast<unsigned long long>(unbatched.drain_calls));
-  std::printf("%-34s %14llu %14llu\n", "drain-site pages covered",
-              static_cast<unsigned long long>(batched.drain_pages),
-              static_cast<unsigned long long>(unbatched.drain_pages));
-  std::printf("%-34s %14llu %14llu\n", "fault-path mprotect calls (1:1)",
-              static_cast<unsigned long long>(batched.fault_calls),
-              static_cast<unsigned long long>(unbatched.fault_calls));
-  std::printf("%-34s %14llu %14llu\n", "total mprotect calls",
-              static_cast<unsigned long long>(batched.total_mprotect),
-              static_cast<unsigned long long>(unbatched.total_mprotect));
-  std::printf("drain-site reduction: %.1fx (pages per drain syscall %.1f)\n", cross, coalesce);
+  std::printf("%-34s %14llu\n", "drain-site mprotect calls",
+              static_cast<unsigned long long>(kernel.drain_calls));
+  std::printf("%-34s %14llu\n", "drain-site pages covered",
+              static_cast<unsigned long long>(kernel.drain_pages));
+  std::printf("%-34s %14llu\n", "fault-path mprotect calls (1:1)",
+              static_cast<unsigned long long>(kernel.fault_calls));
+  std::printf("%-34s %14llu\n", "total mprotect calls",
+              static_cast<unsigned long long>(kernel.total_mprotect));
+  std::printf("pages per drain syscall: %.1f\n", coalesce);
 
-  // Section 3: SOR context rows (fault-path singles dilute the total here;
+  // Section 3: SOR context row (fault-path singles dilute the total here;
   // the drain-site numbers above are the gated measurement).
   Config sor_cfg;
   sor_cfg.protocol = ProtocolVariant::kTwoLevel;
   sor_cfg.nodes = 8;
   sor_cfg.procs_per_node = 4;
   sor_cfg.cost.scale = 1.0;
-  sor_cfg.vm.batch_mprotect = true;
-  const AppRunResult sor_b = RunApp(AppKind::kSor, sor_cfg, opt.size_class);
-  sor_cfg.vm.batch_mprotect = false;
-  const AppRunResult sor_u = RunApp(AppKind::kSor, sor_cfg, opt.size_class);
-  const unsigned long long sor_calls_b =
-      static_cast<unsigned long long>(sor_b.report.total.Get(Counter::kMprotectCalls));
-  const unsigned long long sor_calls_u =
-      static_cast<unsigned long long>(sor_u.report.total.Get(Counter::kMprotectCalls));
-  std::printf("\nSOR 32:4 context: %llu mprotect calls batched, %llu per-page%s\n",
-              sor_calls_b, sor_calls_u,
-              (sor_b.verified && sor_u.verified) ? "" : "  (UNVERIFIED)");
+  const AppRunResult sor = RunApp(AppKind::kSor, sor_cfg, opt.size_class);
+  const unsigned long long sor_calls =
+      static_cast<unsigned long long>(sor.report.total.Get(Counter::kMprotectCalls));
+  std::printf("\nSOR 32:4 context: %llu mprotect calls%s\n", sor_calls,
+              sor.verified ? "" : "  (UNVERIFIED)");
 
-  const bool all_verified = batched.verified && unbatched.verified && batched.trace_complete &&
-                            unbatched.trace_complete && sor_b.verified && sor_u.verified;
-  const bool meets_goal = cross >= 4.0;
-  std::printf("\n%s: drain-site reduction %.1fx (goal >= 4x), %s\n",
-              (all_verified && meets_goal) ? "PASS" : "FAIL", cross,
+  const bool all_verified = kernel.verified && kernel.trace_complete && sor.verified;
+  const bool meets_goal = coalesce >= 4.0;
+  std::printf("\n%s: %.1f pages per drain-site syscall (goal >= 4), %s\n",
+              (all_verified && meets_goal) ? "PASS" : "FAIL", coalesce,
               all_verified ? "all runs verified" : "VERIFICATION FAILED");
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
@@ -285,22 +269,17 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
   std::fprintf(
       f,
       "{\n  \"kernel\": {\"procs\": 32, \"ppn\": 4, \"pages\": %d, \"rounds\": %d,\n"
-      "    \"drain_calls_batched\": %llu, \"drain_calls_per_page\": %llu,\n"
-      "    \"drain_pages_batched\": %llu, \"fault_calls_batched\": %llu,\n"
-      "    \"total_mprotect_batched\": %llu, \"total_mprotect_per_page\": %llu,\n"
-      "    \"drain_site_reduction\": %.2f, \"pages_per_drain_syscall\": %.2f},\n"
-      "  \"sor_context\": {\"mprotect_calls_batched\": %llu, "
-      "\"mprotect_calls_per_page\": %llu},\n"
+      "    \"drain_calls_batched\": %llu, \"drain_pages_batched\": %llu,\n"
+      "    \"fault_calls_batched\": %llu, \"total_mprotect_batched\": %llu,\n"
+      "    \"pages_per_drain_syscall\": %.2f},\n"
+      "  \"sor_context\": {\"mprotect_calls_batched\": %llu},\n"
       "  \"drain_replay\": [\n%s\n  ],\n"
       "  \"all_verified\": %s,\n  \"meets_4x_goal\": %s\n}\n",
-      kKernelPages, kKernelRounds, static_cast<unsigned long long>(batched.drain_calls),
-      static_cast<unsigned long long>(unbatched.drain_calls),
-      static_cast<unsigned long long>(batched.drain_pages),
-      static_cast<unsigned long long>(batched.fault_calls),
-      static_cast<unsigned long long>(batched.total_mprotect),
-      static_cast<unsigned long long>(unbatched.total_mprotect), cross, coalesce, sor_calls_b,
-      sor_calls_u, replay_rows.c_str(), all_verified ? "true" : "false",
-      meets_goal ? "true" : "false");
+      kKernelPages, kKernelRounds, static_cast<unsigned long long>(kernel.drain_calls),
+      static_cast<unsigned long long>(kernel.drain_pages),
+      static_cast<unsigned long long>(kernel.fault_calls),
+      static_cast<unsigned long long>(kernel.total_mprotect), coalesce, sor_calls,
+      replay_rows.c_str(), all_verified ? "true" : "false", meets_goal ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", json_path.c_str());
   return (all_verified && meets_goal) ? 0 : 1;

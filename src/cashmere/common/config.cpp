@@ -49,9 +49,7 @@ struct VariantFlag {
 constexpr VariantFlag kVariantFlags[] = {
     {" home-opt", [](const Config& c) { return c.home_opt; }},
     {" interrupts", [](const Config& c) { return c.delivery == DeliveryMode::kInterrupt; }},
-    {" run-hdrs", [](const Config& c) { return c.diff.charge_run_headers; }},
     {" trace", [](const Config& c) { return c.trace.enabled; }},
-    {" no-perm-batch", [](const Config& c) { return !c.vm.batch_mprotect; }},
     {" dir-sharded", [](const Config& c) { return c.dir.mode == DirMode::kSharded; }},
     {" async-release", [](const Config& c) { return c.AsyncRelease(); }},
     {" mc-shm", [](const Config& c) { return c.mc.transport == McTransportKind::kShm; }},

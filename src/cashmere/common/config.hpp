@@ -36,7 +36,7 @@ enum class DeliveryMode : int {
 // How page access faults are generated.
 enum class FaultMode : int {
   kSigsegv = 0,    // real mprotect + SIGSEGV, the production path
-  kSoftware = 1,   // explicit EnsureRead/EnsureWrite calls (tests/debugging)
+  kSoftware = 1,   // explicit EnsureRead/EnsureWrite access checks (tests)
 };
 
 // --- Variant option groups ------------------------------------------------
@@ -45,20 +45,6 @@ enum class FaultMode : int {
 // historical flat fields exactly; Config::Describe renders every active
 // variant flag through a single registration table in config.cpp, so a new
 // switch needs one field here and one table row there.
-
-// Diff-engine variants.
-struct DiffTuning {
-  // Cost-model variant: charge the 8-byte DiffRun wire headers (tracked by
-  // the kDiffRunBytes statistic) as Memory Channel diff traffic — they are
-  // accounted in the Table 3 data volume and occupy the serial bus at flush
-  // time. Off by default: on real MC a diff run is raw remote writes of the
-  // modified words and the run descriptors are host-side bookkeeping, so
-  // the paper's numbers charge payload bytes only. Enabling this models a
-  // transport that ships the framed runs themselves (the user-level DSM
-  // framing in PAPERS.md) and must leave the default outputs byte-identical
-  // when off.
-  bool charge_run_headers = false;
-};
 
 // Structured event tracing (common/trace.hpp).
 struct TraceOptions {
@@ -71,19 +57,6 @@ struct TraceOptions {
   std::uint32_t ring_events = 1u << 14;
 };
 
-// VM permission-engine variants (vm/perm_batch.hpp).
-struct VmTuning {
-  // Batch protocol permission changes per episode through the PermBatch
-  // engine: queued transitions are sorted, deduplicated, elided against the
-  // view shadow table, and committed as one mprotect per coalesced range.
-  // Off = commit each queued transition immediately, reproducing the
-  // historical one-syscall-per-page behaviour (the bench_protect baseline).
-  // Either setting must leave the modeled virtual-time outputs
-  // byte-identical: batching moves when syscalls happen, never what the
-  // simulated protocol observes.
-  bool batch_mprotect = true;
-};
-
 // Global directory backend selection (protocol/directory.hpp,
 // protocol/directory_sharded.hpp, DESIGN.md §13).
 enum class DirMode : int {
@@ -94,8 +67,8 @@ enum class DirMode : int {
   // Hash-sharded directory: each page's entry lives only on its shard
   // owner (co-located with the HomeTable home), updates are point-to-point
   // writes to that owner, readers go through a per-unit entry cache
-  // invalidated on write notices, and entry storage is lazily allocated in
-  // fixed-size segments (memory proportional to touched pages).
+  // invalidated on write notices, and entry storage is a reservation the
+  // kernel commits on first touch (memory proportional to touched pages).
   kSharded = 1,
 };
 
@@ -104,9 +77,8 @@ struct DirTuning {
   // Sharded mode: per-unit directory-entry cache size (rounded up to a
   // power of two; direct-mapped).
   std::uint32_t cache_entries = 4096;
-  // Sharded mode: pages per lazily-allocated shard segment. Smaller
-  // segments track sparse touch patterns more tightly; larger ones
-  // amortize allocation.
+  // Sharded mode: pages per shard segment, the grain at which touched
+  // entry storage is counted (ResidentBytes, kDirSegmentsAllocated).
   std::uint32_t segment_pages = 64;
 };
 
@@ -179,9 +151,7 @@ struct Config {
   DeliveryMode delivery = DeliveryMode::kPolling;
   FaultMode fault_mode = FaultMode::kSigsegv;
 
-  DiffTuning diff;
   TraceOptions trace;
-  VmTuning vm;
   DirTuning dir;
   AsyncTuning async;
   McTuning mc;

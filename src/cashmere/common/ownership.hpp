@@ -2,7 +2,7 @@
 //
 // Several protocol structures are lock-free because exactly one processor (or
 // one unit) ever writes them: global-directory words, per-processor
-// DirtyMapShards, TraceRings, and per-processor Stats counters. Nothing in
+// TraceRings, and per-processor Stats counters. Nothing in
 // the type system enforces "exactly one writer", so this header provides:
 //
 //  1. CSM_SINGLE_WRITER(owner) — a declarative, zero-cost annotation naming

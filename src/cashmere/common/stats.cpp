@@ -50,10 +50,6 @@ const char* CounterName(Counter c) {
       return "Diff Runs Emitted";
     case Counter::kDiffRunBytes:
       return "Diff Run Bytes";
-    case Counter::kDirtyShardMerges:
-      return "Dirty Shard Merges";
-    case Counter::kDirtyShardStaleDrops:
-      return "Dirty Shard Stale Drops";
     case Counter::kDiffRunApplyBytes:
       return "Diff Run Apply Bytes";
     case Counter::kTraceEvents:

@@ -40,12 +40,9 @@ enum class Counter : int {
   kHomeRelocations,
   // Diff-engine host-side scan instrumentation (not part of Table 3).
   kDiffBlocksScanned,  // 64-byte blocks whose words were loaded
-  kDiffBlocksSkipped,  // blocks skipped via dirty-region maps
+  kDiffBlocksSkipped,  // always 0: every scan covers the whole page
   kDiffRunsEmitted,    // RLE runs emitted by outgoing/incoming scans
   kDiffRunBytes,       // wire-format bytes: run payload + run headers
-  // Lock-free write-tracking instrumentation (software fault mode).
-  kDirtyShardMerges,     // per-proc shards OR-folded into a twin's map
-  kDirtyShardStaleDrops, // marked shards discarded at twin creation (stale gen)
   kDiffRunApplyBytes,    // wire bytes replayed by the run-serialized apply
   // Structured event tracing (common/trace.hpp).
   kTraceEvents,          // typed events appended to the per-proc rings

@@ -3,10 +3,10 @@
 // Every protocol edge (faults, twin lifecycle, diffs, directory updates,
 // write notices, exclusive-mode transitions, synchronization, Memory
 // Channel writes) appends a fixed-size typed TraceEvent to a per-processor
-// ring buffer. The rings follow the DirtyMapShard idiom: cache-line
-// aligned, single writer (the bound processor thread), no locks, relaxed
-// stores with a release publish, so the instrumented paths — including the
-// SIGSEGV fault handler — never allocate or synchronize. When the ring
+// ring buffer. The rings are cache-line aligned, single writer (the bound
+// processor thread), no locks, relaxed stores with a release publish, so
+// the instrumented paths — including the SIGSEGV fault handler — never
+// allocate or synchronize. When the ring
 // wraps, the oldest events are overwritten and counted as drops (exposed
 // through Counter::kTraceDrops).
 //
@@ -115,8 +115,8 @@ class alignas(64) TraceRing {
   TraceRing& operator=(const TraceRing&) = delete;
 
   // Owner-only append. Wraps when full: the oldest event is overwritten and
-  // counted as dropped. Plain slot store + release publish of the count —
-  // the same owner-only store discipline as DirtyMapShard::MarkRange.
+  // counted as dropped. Plain slot store + release publish of the count:
+  // safe without a read-modify-write because only the owner ever stores.
   void Append(const TraceEvent& e) {
     owner_check_.NoteWrite("TraceRing::Append");
     const std::uint64_t n = count_.load(std::memory_order_relaxed);

@@ -74,7 +74,7 @@ class McHub {
     // McOp object exists: `op` itself then has scalar uses only, and the
     // hot path above carries no aggregate stores at all.
     return IssueVirtual(McOp{op.kind, op.traffic, op.dst, op.src, op.value,
-                             op.words, op.offset_words, op.header_bytes});
+                             op.words, op.offset_words});
   }
 
   // Account traffic that was moved by other means (e.g. diff runs applied

@@ -100,7 +100,6 @@ struct McOp {
   std::uint32_t value = 0;      // payload (word ops)
   std::size_t words = 0;        // payload length in 32-bit words
   std::size_t offset_words = 0; // run scatter offset from dst
-  std::size_t header_bytes = 0; // run framing charged by a cost variant
 
   // Unordered remote write of a single word.
   static McOp Word(std::uint32_t* dst, std::uint32_t value, Traffic t) {
@@ -124,12 +123,9 @@ struct McOp {
   }
   // One RLE diff run: scatters `nwords` payload words into `dst_base` at
   // word offset `offset_words`. On MC a diff run is raw remote writes of
-  // the modified words, so traffic is the payload bytes only; under the
-  // Config::diff.charge_run_headers cost variant the caller passes the
-  // run's framing overhead as `header_bytes`, accounted into the same
-  // traffic class without changing the write count.
+  // the modified words, so traffic is the payload bytes only.
   static McOp Run(void* dst_base, std::size_t offset_words, const void* payload,
-                  std::size_t nwords, Traffic t, std::size_t header_bytes = 0) {
+                  std::size_t nwords, Traffic t) {
     McOp op;
     op.kind = McOpKind::kWriteRun;
     op.traffic = t;
@@ -137,7 +133,6 @@ struct McOp {
     op.src = payload;
     op.words = nwords;
     op.offset_words = offset_words;
-    op.header_bytes = header_bytes;
     return op;
   }
   // Totally-ordered broadcast of one word to a replicated location.
@@ -165,16 +160,15 @@ struct McOp {
   }
 
   // Wire bytes this op charges, exactly matching the historical per-call
-  // accounting: broadcasts charge one word per replica, runs charge payload
-  // plus any framing the cost variant added.
+  // accounting: broadcasts charge one word per replica, streams and runs
+  // charge their payload.
   std::size_t WireBytes(int units) const {
     switch (kind) {
       case McOpKind::kWrite32:
         return kWordBytes;
       case McOpKind::kWriteStream:
-        return words * kWordBytes;
       case McOpKind::kWriteRun:
-        return words * kWordBytes + header_bytes;
+        return words * kWordBytes;
       case McOpKind::kOrderedBroadcast32:
       case McOpKind::kOrderedExchange32:
         return kWordBytes * static_cast<std::size_t>(units);

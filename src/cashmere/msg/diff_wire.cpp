@@ -23,8 +23,7 @@ std::size_t SerializeDiffRuns(PageId page, const DiffBuffer& diff, DiffWireSlot&
   return diff.WireBytes();
 }
 
-std::size_t ReplayDiffWire(const DiffWireSlot& slot, McHub& hub, std::byte* master_base,
-                           std::size_t header_bytes_per_run) {
+std::size_t ReplayDiffWire(const DiffWireSlot& slot, McHub& hub, std::byte* master_base) {
   const std::byte* headers = slot.wire;
   const std::byte* payload =
       slot.wire + static_cast<std::size_t>(slot.nruns) * kDiffRunHeaderBytes;
@@ -37,7 +36,7 @@ std::size_t ReplayDiffWire(const DiffWireSlot& slot, McHub& hub, std::byte* mast
                 kDiffRunHeaderBytes);
     hub.Issue(McOp::Run(master_base, run.offset_words,
                         payload + cursor_words * kWordBytes, run.nwords,
-                        Traffic::kDiffData, header_bytes_per_run));
+                        Traffic::kDiffData));
     cursor_words += run.nwords;
   }
   return cursor_words * kWordBytes +

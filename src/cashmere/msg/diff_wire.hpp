@@ -10,11 +10,10 @@
 //
 // The sender performs the replay synchronously, which is faithful to the
 // Memory Channel: a diff flush is DMA of the modified words into the home
-// node's receive region, performed by the sender's writes themselves. By
-// default traffic accounting is byte-identical to the seed's direct loop
-// (payload bytes, one accounted write per run); the
-// Config::diff.charge_run_headers variant additionally bills the 8-byte
-// run headers as diff traffic (see config.hpp).
+// node's receive region, performed by the sender's writes themselves.
+// Traffic accounting is byte-identical to the seed's direct loop (payload
+// bytes, one accounted write per run): the run headers are host-side
+// framing, never MC traffic.
 #ifndef CASHMERE_MSG_DIFF_WIRE_HPP_
 #define CASHMERE_MSG_DIFF_WIRE_HPP_
 
@@ -43,12 +42,10 @@ struct DiffWireSlot {
 std::size_t SerializeDiffRuns(PageId page, const DiffBuffer& diff, DiffWireSlot& slot);
 
 // Replays a serialized diff into the page frame at `master_base`: one
-// run McOp issued through the hub per run, scattering exactly the modified words. Passes
-// `header_bytes_per_run` through to the hub's traffic accounting (0 keeps
-// the default payload-only accounting). Returns the wire bytes consumed,
-// surfaced as the kDiffRunApplyBytes statistic.
-std::size_t ReplayDiffWire(const DiffWireSlot& slot, McHub& hub, std::byte* master_base,
-                           std::size_t header_bytes_per_run = 0);
+// run McOp issued through the hub per run, scattering exactly the modified
+// words. Returns the wire bytes consumed, surfaced as the
+// kDiffRunApplyBytes statistic.
+std::size_t ReplayDiffWire(const DiffWireSlot& slot, McHub& hub, std::byte* master_base);
 
 }  // namespace cashmere
 

@@ -90,9 +90,6 @@ void CashmereProtocol::ProtectLocal(Context& ctx, PageLocal& pl, UnitId unit, in
     // could be observed (DESIGN.md §11). Software mode never queues — the
     // views stay fully open and the page table alone carries permissions.
     ctx.perm_batch().Add(GlobalProc(unit, local_index), page, perm);
-    if (!cfg_.vm.batch_mprotect) {
-      ctx.perm_batch().Commit();  // historical one-syscall-per-page timing
-    }
   }
   ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
                      CostModel::UsToNs(cfg_.costs.mprotect_us));
@@ -150,7 +147,7 @@ void CashmereProtocol::SetTwinTraced(PageLocal& pl, PageId page, bool valid) {
   }
   pl.SetTwinValid(valid);
   TraceEmit(valid ? EventKind::kTwinCreate : EventKind::kTwinDiscard, page,
-            NextTraceSeq(pl), 0, pl.twin_gen.load(std::memory_order_relaxed));
+            NextTraceSeq(pl), 0, pl.twin_gen);
 }
 
 void CashmereProtocol::RefreshLoosestPerm(Context& ctx, PageLocal& pl, PageId page) {
@@ -257,7 +254,6 @@ void CashmereProtocol::HandleRequest(const Request& request) {
       if (other_writers) {
         if (!pl.twin_valid && !UnitAtMaster(ctx.unit(), page)) {
           CopyPage(TwinPtr(ctx.unit(), page), working);
-          InitTwinMap(ctx, pl, ctx.unit(), page);
           SetTwinTraced(pl, page, true);
           ctx.stats().Add(Counter::kTwinCreations);
           if (!IsWriteDouble()) {
@@ -362,7 +358,8 @@ void CashmereProtocol::ApplyIncoming(Context& ctx, PageLocal& pl, PageId page,
     // concurrent local writers are not disturbed — this replaces TLB
     // shootdown. (2LS never reaches here with a twin: it shoots down and
     // flushes before fetching.) The merge writes working and twin
-    // identically, so the dirty-block map (working-vs-twin) is untouched.
+    // identically, so the local modifications (working-vs-twin) are
+    // untouched.
     DiffScanStats scan;
     const std::size_t words =
         ApplyIncomingDiff(image, TwinPtr(ctx.unit(), page), working, &scan);
@@ -532,7 +529,6 @@ void CashmereProtocol::EnsureTwin(Context& ctx, PageLocal& pl, PageId page) {
     return;
   }
   CopyPage(TwinPtr(ctx.unit(), page), WorkingPtr(ctx.unit(), page));
-  InitTwinMap(ctx, pl, ctx.unit(), page);
   SetTwinTraced(pl, page, true);
   ctx.stats().Add(Counter::kTwinCreations);
   if (!IsWriteDouble()) {
@@ -544,142 +540,33 @@ void CashmereProtocol::EnsureTwin(Context& ctx, PageLocal& pl, PageId page) {
   }
 }
 
-void CashmereProtocol::InitTwinMap(Context& ctx, const PageLocal& pl, UnitId unit,
-                                   PageId page) {
-  DirtyBlockMap& map = TwinMap(unit, page);
-  if (cfg_.fault_mode == FaultMode::kSoftware) {
-    // Any shard still carrying marks belongs to an earlier twin generation
-    // (the new odd generation is only published after this returns, so no
-    // marker can have stamped it yet): its content is discarded, never
-    // merged into the new twin's map. Discarding is sound because a stale
-    // mark's write either predates the twin copy just taken — the value is
-    // already in the twin, so no diff is needed — or it raced a twin
-    // transition the same way it would have raced the seed's locked
-    // twin_valid check. Shards are owner-reset lazily at the owner's next
-    // mark; the merger never writes them.
-    std::uint64_t stale = 0;
-    for (int li = 0; li < cfg_.procs_per_unit(); ++li) {
-      if (WriteShard(unit, page, li).AnyMarks()) {
-        ++stale;
-      }
-    }
-    if (stale != 0) {
-      ctx.stats().Add(Counter::kDirtyShardStaleDrops, stale);
-    }
-  }
-  if (cfg_.fault_mode == FaultMode::kSoftware &&
-      pl.WriterCount(cfg_.procs_per_unit()) == 0) {
-    // Every write after this point is announced via NoteLocalWrite (the
-    // creating writer only gains ReadWrite after the twin exists), so the
-    // map can start empty and track exactly.
-    map.Clear();
-  } else {
-    // SIGSEGV mode (writes invisible to the runtime) or a pre-existing
-    // local writer whose earlier stores were never tracked (break-exclusive
-    // twin creation): the whole page must be scanned.
-    map.MarkAll();
-  }
-}
-
-void CashmereProtocol::NoteLocalWrite(UnitId unit, int local_index, PageId page,
-                                      std::size_t offset, std::size_t bytes) {
-  if (cfg_.fault_mode != FaultMode::kSoftware || bytes == 0) {
-    return;
-  }
-  // Lock-free fast path: this runs once per instrumented store, so it must
-  // not serialize concurrent local writers. The generation's parity is the
-  // unlocked equivalent of the seed's twin_valid check; a mark that races a
-  // twin transition lands stamped with the old generation and is discarded
-  // at merge time, exactly as the seed's locked check would have skipped it.
-  PageLocal& pl = Unit(unit).Page(page);
-  const std::uint64_t gen = pl.twin_gen.load(std::memory_order_acquire);
-  if ((gen & 1) == 0) {
-    return;  // master-sharing, exclusive mode, or no local writer: no diff
-  }
-  WriteShard(unit, page, local_index).MarkRange(gen, offset, bytes);
-}
-
-void CashmereProtocol::MergeWriteShards(UnitId unit, PageLocal& pl, PageId page,
-                                        Stats* stats) {
-  if (cfg_.fault_mode != FaultMode::kSoftware) {
-    return;  // shards are only fed in software fault mode
-  }
-  const std::uint64_t gen = pl.twin_gen.load(std::memory_order_relaxed);
-  if ((gen & 1) == 0) {
-    return;
-  }
-  DirtyBlockMap& map = TwinMap(unit, page);
-  std::uint64_t merged = 0;
-  for (int li = 0; li < cfg_.procs_per_unit(); ++li) {
-    DirtyMapShard& sh = WriteShard(unit, page, li);
-    // Acquire pairs with the owner's release stamp: a matching generation
-    // implies the owner's reset is visible, so no bits of an older twin
-    // leak in. Marks fetch_or-ed after this read are covered by the marking
-    // writer's own later flush (the shard and map are monotone per
-    // generation — the same argument MarkRange has always relied on).
-    if (sh.gen.load(std::memory_order_acquire) != gen) {
-      continue;  // stale or unused shard: discard, never merge
-    }
-    bool any = false;
-    for (std::size_t w = 0; w < DirtyBlockMap::kMapWords; ++w) {
-      const std::uint64_t bits = sh.bits[w].load(std::memory_order_relaxed);
-      if (bits != 0) {
-        map.OrWord(w, bits);
-        any = true;
-      }
-    }
-    if (any) {
-      ++merged;
-    }
-  }
-  if (merged != 0 && stats != nullptr) {
-    stats->Add(Counter::kDirtyShardMerges, merged);
-  }
-}
-
-const DirtyBlockMap& CashmereProtocol::MergedTwinMapForTesting(UnitId unit, PageId page) {
-  PageLocal& pl = Unit(unit).Page(page);
-  SpinLockGuard guard(pl.lock);
-  MergeWriteShards(unit, pl, page, nullptr);
-  return TwinMap(unit, page);
-}
-
-CashmereProtocol::FlushResult CashmereProtocol::FlushOutgoingDiffRuns(Context& ctx,
-                                                                     PageLocal& pl,
-                                                                     PageId page,
-                                                                     bool flush_update,
-                                                                     bool replay_now) {
-  MergeWriteShards(ctx.unit(), pl, page, &ctx.stats());
+std::size_t CashmereProtocol::FlushOutgoingDiffRuns(Context& ctx, PageLocal& pl, PageId page,
+                                                    bool flush_update, bool replay_now) {
   DiffBuffer& buf = ctx.diff_scratch();
   DiffScanStats scan;
   EncodeOutgoingDiff(WorkingPtr(ctx.unit(), page), TwinPtr(ctx.unit(), page), flush_update,
-                     &TwinMap(ctx.unit(), page), buf, &scan);
+                     buf, &scan);
   // Ship the encoded runs through the wire format: serialize headers +
   // payload into this processor's transmit buffer, then replay the runs
   // into the home node's master copy as MC remote writes. Traffic is
-  // byte-identical to writing each run straight out of the DiffBuffer; the
-  // diff.charge_run_headers variant additionally bills the run framing.
+  // byte-identical to writing each run straight out of the DiffBuffer.
   // The async publish path defers the replay: the serialized image travels
   // in the log record and the unit's cache agent replays it (booking
   // kDiffRunApplyBytes on its own Stats, folded into the run totals).
-  const std::size_t hdr_bytes =
-      cfg_.diff.charge_run_headers ? kDiffRunHeaderBytes : std::size_t{0};
   DiffWireSlot& slot = deps_.msg->DiffSlotOf(ctx.proc());
   SerializeDiffRuns(page, buf, slot);
   if (replay_now) {
-    const std::size_t applied = ReplayDiffWire(slot, *deps_.hub, MasterPtr(page), hdr_bytes);
+    const std::size_t applied = ReplayDiffWire(slot, *deps_.hub, MasterPtr(page));
     ctx.stats().Add(Counter::kDiffRunApplyBytes, applied);
   }
   ctx.stats().Add(Counter::kDiffBlocksScanned, scan.blocks_scanned);
-  ctx.stats().Add(Counter::kDiffBlocksSkipped, scan.blocks_skipped);
   ctx.stats().Add(Counter::kDiffRunsEmitted, scan.runs);
   ctx.stats().Add(Counter::kDiffRunBytes, scan.run_bytes);
   if (TraceActive()) {
     TraceEmit(EventKind::kDiffEncode, page, NextTraceSeq(pl),
               static_cast<std::uint32_t>(scan.runs), buf.words());
   }
-  return FlushResult{buf.words(),
-                     buf.words() * kWordBytes + buf.run_count() * hdr_bytes};
+  return buf.words();
 }
 
 void CashmereProtocol::ShootdownLocalWriters(Context& ctx, PageLocal& pl, PageId page) {
@@ -708,14 +595,14 @@ void CashmereProtocol::ShootdownLocalWriters(Context& ctx, PageLocal& pl, PageId
   // visited, losing the write.
   CommitPermBatch(ctx);
   if (pl.twin_valid && !UnitAtMaster(ctx.unit(), page)) {
-    const FlushResult r = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/false);
-    deps_.hub->ReserveBus(ctx.clock().now(), r.bus_bytes);
+    const std::size_t words = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/false);
+    deps_.hub->ReserveBus(ctx.clock().now(), words * kWordBytes);
     pl.flush_ts.store(us.Tick(), std::memory_order_release);
     ctx.stats().Add(Counter::kPageFlushes);
     const bool home_local =
         cfg_.NodeOfProc(cfg_.FirstProcOfUnit(deps_.homes->HomeOfPage(page))) == ctx.node();
     ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                       cfg_.costs.DiffOutNs(r.words, home_local));
+                       cfg_.costs.DiffOutNs(words, home_local));
     SendWriteNotices(ctx, page);
   }
   SetTwinTraced(pl, page, false);
@@ -888,10 +775,10 @@ void CashmereProtocol::SendWriteNotices(Context& ctx, PageId page) {
 
 void CashmereProtocol::PublishCoherenceRecord(Context& ctx, PageLocal& pl, PageId page) {
   const bool has_diff = !UnitAtMaster(ctx.unit(), page) && pl.twin_valid;
-  FlushResult r{};
+  std::size_t words = 0;
   if (has_diff) {
-    r = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/true,
-                              /*replay_now=*/false);
+    words = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/true,
+                                  /*replay_now=*/false);
     ctx.stats().Add(Counter::kPageFlushes);
     ctx.stats().Add(Counter::kFlushUpdates);
   }
@@ -913,10 +800,7 @@ void CashmereProtocol::PublishCoherenceRecord(Context& ctx, PageLocal& pl, PageI
         rec.page = page;
         rec.publisher = ctx.proc();
         rec.publish_vt = ctx.clock().now();
-        rec.words = static_cast<std::uint32_t>(r.words);
-        rec.hdr_bytes = static_cast<std::uint32_t>(
-            cfg_.diff.charge_run_headers ? kDiffRunHeaderBytes : std::size_t{0});
-        rec.bus_bytes = r.bus_bytes;
+        rec.words = static_cast<std::uint32_t>(words);
         rec.wn_targets = targets;
         rec.has_diff = has_diff;
         rec.home_local = home_local;
@@ -1009,11 +893,10 @@ void CashmereProtocol::FlushPage(Context& ctx, PageLocal& pl, PageId page,
       } else {
         // Flush-update: write local modifications to both the home node and
         // the twin, so overlapping releases skip redundant work (Section 2.5).
-        const FlushResult r = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/true);
-        const std::size_t words = r.words;
+        const std::size_t words = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/true);
         // The flusher is write-buffered and does not stall, but the diff
         // occupies the serial MC: later transfers queue behind it.
-        deps_.hub->ReserveBus(ctx.clock().now(), r.bus_bytes);
+        deps_.hub->ReserveBus(ctx.clock().now(), words * kWordBytes);
         ctx.stats().Add(Counter::kPageFlushes);
         ctx.stats().Add(Counter::kFlushUpdates);
         const bool home_local =
@@ -1087,12 +970,11 @@ void CashmereProtocol::AgentApply(UnitId unit, const CoherenceRecord& rec,
                                   VirtualClock& clock, Stats& stats) {
   const PageId page = rec.page;
   if (rec.has_diff) {
-    const std::size_t applied =
-        ReplayDiffWire(rec.slot, *deps_.hub, MasterPtr(page), rec.hdr_bytes);
+    const std::size_t applied = ReplayDiffWire(rec.slot, *deps_.hub, MasterPtr(page));
     stats.Add(Counter::kDiffRunApplyBytes, applied);
     // The apply occupies the serial MC exactly as the synchronous flush
     // would have: later transfers queue behind it.
-    deps_.hub->ReserveBus(clock.now(), rec.bus_bytes);
+    deps_.hub->ReserveBus(clock.now(), std::size_t{rec.words} * kWordBytes);
     clock.Charge(stats, TimeCategory::kProtocol,
                  cfg_.costs.DiffOutNs(rec.words, rec.home_local));
   }
@@ -1302,11 +1184,10 @@ void CashmereProtocol::FinalFlush(Context& ctx) {
                   static_cast<std::uint32_t>(pl.excl_proc), 0);
       }
     } else if (pl.twin_valid) {
-      MergeWriteShards(ctx.unit(), pl, page, &ctx.stats());
       DiffScanStats scan;
       const std::size_t words =
           ApplyOutgoingDiff(WorkingPtr(ctx.unit(), page), TwinPtr(ctx.unit(), page),
-                            MasterPtr(page), true, &TwinMap(ctx.unit(), page), &scan);
+                            MasterPtr(page), true, &scan);
       if (TraceActive()) {
         TraceEmit(EventKind::kDiffApplyOutgoing, page, NextTraceSeq(pl),
                   static_cast<std::uint32_t>(scan.runs), words);

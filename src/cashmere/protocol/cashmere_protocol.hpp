@@ -113,26 +113,12 @@ class CashmereProtocol : public RequestHandler {
   void AgentApply(UnitId unit, const CoherenceRecord& rec, VirtualClock& clock,
                   Stats& stats);
 
-  // Software fault mode only: records that [offset, offset + bytes) of
-  // `page` is about to be written by the processor at `local_index` of
-  // `unit`, so diff scans can skip untouched blocks. Lock-free: the mark
-  // lands in the calling processor's own dirty-map shard (stamped with the
-  // current twin generation) via relaxed atomics; flushes OR-fold the
-  // shards into the twin's map under the page lock. No-op while the page
-  // has no live twin (master-sharing, exclusive mode, or no local writer).
-  void NoteLocalWrite(UnitId unit, int local_index, PageId page, std::size_t offset,
-                      std::size_t bytes);
-
   // --- Introspection (tests) ---------------------------------------------
   PageLocal& PageState(UnitId unit, PageId page) { return Unit(unit).Page(page); }
   UnitState& Unit(UnitId unit) { return *(*deps_.units)[static_cast<std::size_t>(unit)]; }
   bool UnitAtMaster(UnitId unit, PageId page) const;
   std::byte* MasterPtr(PageId page) const;
   std::byte* WorkingPtr(UnitId unit, PageId page) const;
-  // Takes the page lock, folds the unit's shards into the twin's map, and
-  // returns that map — lets tests assert that concurrently-noted writes
-  // are never lost, without reaching into the flush paths.
-  const DirtyBlockMap& MergedTwinMapForTesting(UnitId unit, PageId page);
 
  private:
   // Fault machinery.
@@ -188,31 +174,17 @@ class CashmereProtocol : public RequestHandler {
   // predecessors — never on unrelated in-flight traffic. No-op in
   // synchronous mode.
   void GateOnAppliedSeq(Context& ctx);
-  // Result of one outgoing diff flush: modified words (drives the DiffOut
-  // virtual-time charge) and the bytes the transfer occupies on the serial
-  // MC bus — payload only by default, payload + run headers under the
-  // diff.charge_run_headers cost variant.
-  struct FlushResult {
-    std::size_t words = 0;
-    std::size_t bus_bytes = 0;
-  };
-  // Merges the unit's write-tracking shards into the twin's map, block-scans
-  // working-vs-twin (restricted by the map), serializes the RLE runs into
-  // the flusher's wire buffer in the message layer, and — when `replay_now`
-  // — replays them into the home node's master copy as MC remote writes.
+  // Block-scans working-vs-twin, serializes the RLE runs into the
+  // flusher's wire buffer in the message layer, and — when `replay_now` —
+  // replays them into the home node's master copy as MC remote writes.
   // The async publish path passes replay_now = false: the serialized image
   // is copied into the log record and the unit's cache agent performs the
   // replay (and books kDiffRunApplyBytes) when it applies the record. `pl`
   // is the page's state on ctx's unit; its lock is held by the caller.
-  FlushResult FlushOutgoingDiffRuns(Context& ctx, PageLocal& pl, PageId page,
+  // Returns the modified words, which drive the DiffOut virtual-time
+  // charge; the diff occupies the serial MC bus for their payload bytes.
+  std::size_t FlushOutgoingDiffRuns(Context& ctx, PageLocal& pl, PageId page,
                                     bool flush_update, bool replay_now = true)
-      CSM_REQUIRES(pl.lock);
-  // OR-folds every local shard stamped with the current twin generation
-  // into the twin's master map; stale-generation shards are skipped. `pl`
-  // is the page's state on `unit`; its lock is held by the caller
-  // (twin_gen cannot change mid-merge). `stats` (may be null) receives the
-  // kDirtyShardMerges count.
-  void MergeWriteShards(UnitId unit, PageLocal& pl, PageId page, Stats* stats)
       CSM_REQUIRES(pl.lock);
 
   // Directory helpers (charge costs, honour the global-lock ablation).
@@ -232,19 +204,6 @@ class CashmereProtocol : public RequestHandler {
   std::byte* TwinPtr(UnitId unit, PageId page) const {
     return (*deps_.twins)[static_cast<std::size_t>(unit)]->TwinPtr(page);
   }
-  DirtyBlockMap& TwinMap(UnitId unit, PageId page) const {
-    return (*deps_.twins)[static_cast<std::size_t>(unit)]->Map(page);
-  }
-  DirtyMapShard& WriteShard(UnitId unit, PageId page, int local_index) const {
-    return (*deps_.twins)[static_cast<std::size_t>(unit)]->Shard(page, local_index);
-  }
-  // Initializes the dirty map at twin creation (page lock held): exact
-  // tracking is possible only when every subsequent write is visible
-  // (software fault mode with no pre-existing writer); otherwise the map
-  // is conservatively full. Counts still-marked shards of earlier twin
-  // generations as discarded (kDirtyShardStaleDrops).
-  void InitTwinMap(Context& ctx, const PageLocal& pl, UnitId unit, PageId page)
-      CSM_REQUIRES(pl.lock);
   ProcId GlobalProc(UnitId unit, int local_index) const {
     return cfg_.FirstProcOfUnit(unit) + local_index;
   }

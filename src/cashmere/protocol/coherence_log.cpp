@@ -11,7 +11,8 @@ std::uint32_t ClampEntries(std::uint32_t entries) {
 }  // namespace
 
 CoherenceLog::CoherenceLog(std::uint32_t entries)
-    : ring_(ClampEntries(entries)),
+    : capacity_(ClampEntries(entries)),
+      ring_(std::make_unique_for_overwrite<CoherenceRecord[]>(capacity_)),
       // 4x the record ring: gate slots only hold {seq, vt}, and the larger
       // ring keeps apply times findable well after the record slot recycles.
       gate_(static_cast<std::size_t>(ClampEntries(entries)) * 4) {}

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "cashmere/common/config.hpp"
@@ -43,9 +44,7 @@ struct CoherenceRecord {
   ProcId publisher = -1;        // releasing processor (trace attribution)
   std::uint64_t seq = 0;        // per-log sequence, assigned by Publish
   VirtTime publish_vt = 0;      // releaser's virtual clock at publish
-  std::uint32_t words = 0;      // diff payload words (drives DiffOutNs)
-  std::uint32_t hdr_bytes = 0;  // accounted header bytes per run (0 or 8)
-  std::uint64_t bus_bytes = 0;  // MC bus occupancy to reserve at apply
+  std::uint32_t words = 0;      // diff payload words (DiffOutNs, bus bytes)
   std::uint32_t wn_targets = 0; // unit bitmask to post write notices to
   bool has_diff = false;        // false: write-notice-only record
   bool home_local = false;      // home on the releasing unit (1L variants)
@@ -64,7 +63,7 @@ class CoherenceLog {
   CoherenceLog(const CoherenceLog&) = delete;
   CoherenceLog& operator=(const CoherenceLog&) = delete;
 
-  std::uint32_t capacity() const { return static_cast<std::uint32_t>(ring_.size()); }
+  std::uint32_t capacity() const { return capacity_; }
 
   // Producer side. Claims the next slot (spinning via Backoff while the
   // ring is full), invokes fill(record) to populate it in place, assigns
@@ -75,16 +74,16 @@ class CoherenceLog {
   std::uint64_t Publish(Filler&& fill, bool* stalled) {
     SpinLockGuard guard(producer_lock_);
     const std::uint64_t seq = published_seq_.load(std::memory_order_relaxed) + 1;
-    if (seq - applied_seq_.load(std::memory_order_acquire) > ring_.size()) {
+    if (seq - applied_seq_.load(std::memory_order_acquire) > capacity_) {
       if (stalled != nullptr) {
         *stalled = true;
       }
       Backoff backoff;
-      while (seq - applied_seq_.load(std::memory_order_acquire) > ring_.size()) {
+      while (seq - applied_seq_.load(std::memory_order_acquire) > capacity_) {
         backoff.Pause();
       }
     }
-    CoherenceRecord& rec = ring_[static_cast<std::size_t>((seq - 1) % ring_.size())];
+    CoherenceRecord& rec = ring_[static_cast<std::size_t>((seq - 1) % capacity_)];
     fill(rec);
     rec.seq = seq;
     published_seq_.store(seq, std::memory_order_release);
@@ -95,7 +94,7 @@ class CoherenceLog {
   bool Full() const {
     return published_seq_.load(std::memory_order_acquire) -
                applied_seq_.load(std::memory_order_acquire) >=
-           ring_.size();
+           capacity_;
   }
 
   // Consumer side (single drainer). Peek returns the oldest unapplied
@@ -107,7 +106,7 @@ class CoherenceLog {
     if (published_seq_.load(std::memory_order_acquire) == applied) {
       return nullptr;
     }
-    return &ring_[static_cast<std::size_t>(applied % ring_.size())];
+    return &ring_[static_cast<std::size_t>(applied % capacity_)];
   }
   void PopApplied(VirtTime applied_vt) {
     const std::uint64_t seq = applied_seq_.load(std::memory_order_relaxed) + 1;
@@ -153,7 +152,11 @@ class CoherenceLog {
   SpinLock producer_lock_;
   std::atomic<std::uint64_t> published_seq_{0};
   std::atomic<std::uint64_t> applied_seq_{0};
-  std::vector<CoherenceRecord> ring_;
+  std::uint32_t capacity_;
+  // Default-initialized, not zeroed: a record is ~16 KB, sized for a
+  // worst-case diff, and only its header and the used prefix of its wire
+  // image are ever written, so the rest of the ring never becomes resident.
+  std::unique_ptr<CoherenceRecord[]> ring_;
   std::vector<GateSlot> gate_;
 };
 

@@ -1,7 +1,6 @@
 #include "cashmere/protocol/diff.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cstring>
 
 #include "cashmere/common/logging.hpp"
@@ -26,9 +25,9 @@ std::atomic<bool> g_diff_verify{false};
 // makes skipping clean blocks cheap. These reads are not atomic, but a torn
 // or stale read can only flip the *detection* of a word that a local writer
 // is racing the scan on, and missing such a word is already legal: the
-// dirty map is monotone, so the block stays marked and the writer's own
-// release re-flushes it (see MarkRange). Words that are stable across the
-// scan are detected exactly. Diff *values* never come from these loads.
+// writer's own release rescans the whole page against the twin and flushes
+// it. Words that are stable across the scan are detected exactly. Diff
+// *values* never come from these loads.
 inline bool BlockXorChunks(const std::byte* a, const std::byte* b,
                            std::uint64_t x[kChunksPerBlock]) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -111,47 +110,18 @@ ScanOneBlock(const std::byte* a, const std::byte* b, std::size_t block, bool chu
 
 // Block-scanning core: calls on_word(word_index, a_word, b_word) for every
 // word where page images `a` and `b` differ, in increasing index order.
-// `dirty` (may be null) restricts the scan to marked 64-byte blocks.
 // Word-exact semantics and 32-bit stores are untouched: the prefilter only
 // decides which words get the atomic confirm loads, and the callback always
 // receives individually-loaded words.
 template <typename OnWord>
-inline void ScanPairBlocks(const std::byte* a, const std::byte* b, const DirtyBlockMap* dirty,
-                           DiffScanStats* scan, OnWord&& on_word) {
+inline void ScanPairBlocks(const std::byte* a, const std::byte* b, DiffScanStats* scan,
+                           OnWord&& on_word) {
   const bool chunked = Chunk64Aligned(a) && Chunk64Aligned(b);
-  if (dirty == nullptr) {
-    for (std::size_t block = 0; block < kBlocksPerPage; ++block) {
-      ScanOneBlock(a, b, block, chunked, on_word);
-    }
-    if (scan != nullptr) {
-      scan->blocks_scanned += kBlocksPerPage;
-    }
-    return;
-  }
-  // Restricted scan: iterate the set bits of the map directly, so the cost
-  // is proportional to the number of ever-dirty blocks, not the page size.
-  // Snapshot the words once — the map is monotone, so a racing mark missed
-  // here is covered by the marking writer's own later flush.
-  std::uint64_t snapshot[DirtyBlockMap::kMapWords];
-  std::size_t marked = 0;
-  for (std::size_t w = 0; w < DirtyBlockMap::kMapWords; ++w) {
-    snapshot[w] = dirty->Word(w);
-    marked += static_cast<std::size_t>(std::popcount(snapshot[w]));
+  for (std::size_t block = 0; block < kBlocksPerPage; ++block) {
+    ScanOneBlock(a, b, block, chunked, on_word);
   }
   if (scan != nullptr) {
-    scan->blocks_scanned += marked;
-    scan->blocks_skipped += kBlocksPerPage - marked;
-  }
-  // Density cutover: on a mostly-dirty page the prefilter cannot skip
-  // enough blocks to pay for its extra pass, so use the plain word walk.
-  const bool prefilter = chunked && marked <= kDiffDenseCutoverBlocks;
-  for (std::size_t w = 0; w < DirtyBlockMap::kMapWords; ++w) {
-    std::uint64_t bits = snapshot[w];
-    while (bits != 0) {
-      const std::size_t block = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      bits &= bits - 1;
-      ScanOneBlock(a, b, block, prefilter, on_word);
-    }
+    scan->blocks_scanned += kBlocksPerPage;
   }
 }
 
@@ -176,14 +146,6 @@ struct RunTracker {
 
 }  // namespace
 
-int DirtyBlockMap::PopCount() const {
-  int n = 0;
-  for (const auto& w : bits_) {
-    n += std::popcount(w.load(std::memory_order_relaxed));
-  }
-  return n;
-}
-
 void SetDiffVerifyForTesting(bool enabled) {
 #ifndef NDEBUG
   g_diff_verify.store(enabled, std::memory_order_relaxed);
@@ -193,8 +155,7 @@ void SetDiffVerifyForTesting(bool enabled) {
 }
 
 std::size_t EncodeOutgoingDiff(const std::byte* working, std::byte* twin, bool flush_update,
-                               const DirtyBlockMap* dirty, DiffBuffer& out,
-                               DiffScanStats* scan) {
+                               DiffBuffer& out, DiffScanStats* scan) {
   out.Clear();
 #ifndef NDEBUG
   // Reference pass first (read-only), so the twin is still pristine.
@@ -202,15 +163,13 @@ std::size_t EncodeOutgoingDiff(const std::byte* working, std::byte* twin, bool f
   const bool verify = g_diff_verify.load(std::memory_order_relaxed);
   if (verify) {
     for (std::size_t i = 0; i < kWordsPerPage; ++i) {
-      const bool in_dirty_block =
-          dirty == nullptr || dirty->Test(i / kWordsPerBlock);
-      if (in_dirty_block && LoadWord32Relaxed(working, i) != LoadWord32Relaxed(twin, i)) {
+      if (LoadWord32Relaxed(working, i) != LoadWord32Relaxed(twin, i)) {
         expect[i / 64] |= 1ull << (i % 64);
       }
     }
   }
 #endif
-  ScanPairBlocks(working, twin, dirty, scan,
+  ScanPairBlocks(working, twin, scan,
                  [&](std::size_t index, std::uint32_t w, std::uint32_t /*t*/) {
                    out.Append(static_cast<std::uint32_t>(index), w);
                    if (flush_update) {
@@ -265,11 +224,10 @@ void ApplyDiffRuns(const DiffBuffer& diff, std::byte* dst) {
 }
 
 std::size_t ApplyOutgoingDiff(const std::byte* working, std::byte* twin, std::byte* master,
-                              bool flush_update, const DirtyBlockMap* dirty,
-                              DiffScanStats* scan) {
+                              bool flush_update, DiffScanStats* scan) {
   std::size_t changed = 0;
   RunTracker runs(scan);
-  ScanPairBlocks(working, twin, dirty, scan,
+  ScanPairBlocks(working, twin, scan,
                  [&](std::size_t index, std::uint32_t w, std::uint32_t /*t*/) {
                    StoreWord32Relaxed(master, index, w);
                    if (flush_update) {
@@ -286,7 +244,7 @@ std::size_t ApplyIncomingDiff(const std::byte* incoming, std::byte* twin, std::b
                               DiffScanStats* scan) {
   std::size_t changed = 0;
   RunTracker runs(scan);
-  ScanPairBlocks(incoming, twin, /*dirty=*/nullptr, scan,
+  ScanPairBlocks(incoming, twin, scan,
                  [&](std::size_t index, std::uint32_t in, std::uint32_t /*t*/) {
                    StoreWord32Relaxed(working, index, in);
                    StoreWord32Relaxed(twin, index, in);
@@ -302,62 +260,6 @@ void CopyPage(std::byte* dst, const std::byte* src) {
     StoreWord32Relaxed(dst, w, LoadWord32Relaxed(src, w));
   }
   std::atomic_thread_fence(std::memory_order_release);
-}
-
-std::size_t CountDiffWords(const std::byte* a, const std::byte* b,
-                           const DirtyBlockMap* dirty) {
-  std::size_t n = 0;
-  ScanPairBlocks(a, b, dirty, /*scan=*/nullptr,
-                 [&](std::size_t, std::uint32_t, std::uint32_t) { ++n; });
-  return n;
-}
-
-// ---------------------------------------------------------------------------
-// Reference word-at-a-time scanners (the seed implementation, verbatim
-// semantics): oracle for property tests and bench_diff_engine's baseline.
-
-std::size_t ApplyOutgoingDiffWordScan(const std::byte* working, std::byte* twin,
-                                      std::byte* master, bool flush_update) {
-  std::size_t changed = 0;
-  for (std::size_t i = 0; i < kWordsPerPage; ++i) {
-    const std::uint32_t w = LoadWord32Relaxed(working, i);
-    const std::uint32_t t = LoadWord32Relaxed(twin, i);
-    if (w != t) {
-      StoreWord32Relaxed(master, i, w);
-      if (flush_update) {
-        StoreWord32Relaxed(twin, i, w);
-      }
-      ++changed;
-    }
-  }
-  std::atomic_thread_fence(std::memory_order_release);
-  return changed;
-}
-
-std::size_t ApplyIncomingDiffWordScan(const std::byte* incoming, std::byte* twin,
-                                      std::byte* working) {
-  std::size_t changed = 0;
-  for (std::size_t i = 0; i < kWordsPerPage; ++i) {
-    const std::uint32_t in = LoadWord32Relaxed(incoming, i);
-    const std::uint32_t t = LoadWord32Relaxed(twin, i);
-    if (in != t) {
-      StoreWord32Relaxed(working, i, in);
-      StoreWord32Relaxed(twin, i, in);
-      ++changed;
-    }
-  }
-  std::atomic_thread_fence(std::memory_order_release);
-  return changed;
-}
-
-std::size_t CountDiffWordsWordScan(const std::byte* a, const std::byte* b) {
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < kWordsPerPage; ++i) {
-    if (LoadWord32Relaxed(a, i) != LoadWord32Relaxed(b, i)) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace cashmere

@@ -3,25 +3,22 @@
 // into the local copy without disturbing concurrent local writers — the
 // paper's "two-way diffing", which replaces intra-node TLB shootdown.
 //
-// The engine is built from three cooperating layers:
+// The engine is built from two cooperating layers:
 //
-//  1. A block-scanning core: pages are compared in 64-byte blocks using
-//     64-bit chunked atomic loads (see word_access.hpp). A clean chunk
-//     costs two loads and one compare for two words; only mismatching
-//     chunks are examined word-by-word. Stores stay 32-bit atomic, so MC's
-//     write grain is preserved exactly and word-level merge semantics are
-//     unchanged from the word-at-a-time scanner.
+//  1. A block-scanning core: pages are compared in 64-byte blocks, each
+//     first XORed with wide loads (the prefilter) so clean blocks cost one
+//     pass; only mismatching 64-bit chunks are confirmed word-by-word with
+//     32-bit atomic loads (see word_access.hpp). Stores stay 32-bit atomic,
+//     so MC's write grain is preserved exactly and word-level merge
+//     semantics are unchanged from a word-at-a-time scan.
 //  2. A run-length encoded diff format: maximal runs of consecutive
 //     modified words, `DiffRun{offset, nwords}` plus a payload snapshot.
 //     The runs are the unit in which outgoing diffs are written to the
 //     home node (a run `McOp` through `McHub::Issue`) and accounted, and the in-memory form
 //     used by tests and benches.
-//  3. Per-page dirty-block bitmaps (`DirtyBlockMap`, owned by `TwinPool`):
-//     a conservative superset of the blocks where the working copy may
-//     differ from the twin. Scans skip unmarked blocks without touching
-//     them. In SIGSEGV fault mode writes are invisible to the runtime, so
-//     the map stays fully set while local writers exist; in software fault
-//     mode `EnsureWrite` marks exactly the written blocks.
+//
+// Every scan covers the whole page: the paper finds modified words through
+// VM write faults and twins (Sections 2.4-2.5), never by tracking stores.
 //
 // All comparisons and stores are 32-bit atomic (loads may be 64-bit
 // chunked, which is never weaker than two successive 32-bit loads):
@@ -33,138 +30,10 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "cashmere/common/ownership.hpp"
 #include "cashmere/common/types.hpp"
 #include "cashmere/common/word_access.hpp"
 
 namespace cashmere {
-
-// ---------------------------------------------------------------------------
-// Dirty-region tracking: one bit per 64-byte block of a page.
-
-class DirtyBlockMap {
- public:
-  static constexpr std::size_t kMapWords = kBlocksPerPage / 64;  // 2
-
-  void MarkAll() {
-    for (auto& w : bits_) {
-      w.store(~0ull, std::memory_order_relaxed);
-    }
-  }
-  void Clear() {
-    for (auto& w : bits_) {
-      w.store(0, std::memory_order_relaxed);
-    }
-  }
-  // Marks every block overlapping [offset, offset + bytes) (byte offsets
-  // within the page). Relaxed: the mark happens-before the write it covers
-  // only through the program's own ordering, which suffices because flushes
-  // that miss a racing write also keep its mark (the map is monotone while
-  // a twin is live; see TwinPool).
-  void MarkRange(std::size_t offset, std::size_t bytes) {
-    if (bytes == 0) {
-      return;
-    }
-    const std::size_t first = offset / kBlockBytes;
-    const std::size_t last = (offset + bytes - 1) / kBlockBytes;
-    for (std::size_t b = first; b <= last && b < kBlocksPerPage; ++b) {
-      bits_[b / 64].fetch_or(1ull << (b % 64), std::memory_order_relaxed);
-    }
-  }
-  bool Test(std::size_t block) const {
-    return (bits_[block / 64].load(std::memory_order_relaxed) & (1ull << (block % 64))) != 0;
-  }
-  // ORs a whole map word in (shard merging). Monotone like MarkRange.
-  void OrWord(std::size_t i, std::uint64_t mask) {
-    if (mask != 0) {
-      bits_[i].fetch_or(mask, std::memory_order_relaxed);
-    }
-  }
-  bool Any() const {
-    for (const auto& w : bits_) {
-      if (w.load(std::memory_order_relaxed) != 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-  std::uint64_t Word(std::size_t i) const { return bits_[i].load(std::memory_order_relaxed); }
-  int PopCount() const;
-
- private:
-  std::atomic<std::uint64_t> bits_[kMapWords]{};
-};
-
-// Per-processor dirty-map shard: the lock-free side of software-fault-mode
-// write tracking. Each local processor owns one shard per page; only the
-// owner ever writes it (marks, and the lazy reset when the twin generation
-// changes), so the instrumented-write fast path is a couple of relaxed
-// atomic ops with no shared-line contention. The protocol OR-folds shards
-// into the twin's master DirtyBlockMap under the page lock at flush time,
-// and discards shards stamped with a stale twin generation instead of
-// merging them (a stale mark's write either predates the new twin's copy —
-// already in the twin, no diff needed — or the twin was created with
-// WriterCount > 0 and the map is conservatively full anyway).
-struct alignas(64) DirtyMapShard {
-  // Twin generation the bits belong to (PageLocal::twin_gen; odd = live
-  // twin). Written only by the owning processor; readers (the merger, under
-  // the page lock) treat a mismatch as "discard".
-  CSM_SINGLE_WRITER("the local processor this shard belongs to")
-  std::atomic<std::uint64_t> gen{0};
-  CSM_SINGLE_WRITER("the local processor this shard belongs to")
-  std::atomic<std::uint64_t> bits[DirtyBlockMap::kMapWords]{};
-  // Dynamic single-writer verifier (no-op unless ownership checks are on).
-  OwnerCell owner_check;
-
-  // Owner-only. Re-stamps the shard when `g` differs from the recorded
-  // generation (lazy reset: the merger never writes shards, so a reset can
-  // never race an owner's mark), then ORs the blocks overlapping
-  // [offset, offset + bytes). Because the owner is the only writer, the OR
-  // needs no read-modify-write: a relaxed load + store pair is equivalent
-  // and compiles with no lock prefix, so the common case — a small write
-  // inside one 64-block map word — is a handful of plain loads and stores.
-  void MarkRange(std::uint64_t g, std::size_t offset, std::size_t bytes) {
-    owner_check.NoteWrite("DirtyMapShard::MarkRange");
-    if (gen.load(std::memory_order_relaxed) != g) {
-      for (auto& w : bits) {
-        w.store(0, std::memory_order_relaxed);
-      }
-      // Release: a merger that observes the new stamp also observes the
-      // zeroed words rather than bits of the previous generation.
-      gen.store(g, std::memory_order_release);
-    }
-    const std::size_t first = offset / kBlockBytes;
-    const std::size_t last = (offset + bytes - 1) / kBlockBytes;
-    if (first / 64 == last / 64) {
-      const std::uint64_t mask =
-          (last - first == 63 ? ~0ull : ((1ull << (last - first + 1)) - 1)) << (first % 64);
-      OwnerOr(bits[first / 64], mask);
-      return;
-    }
-    for (std::size_t b = first; b <= last && b < kBlocksPerPage; ++b) {
-      OwnerOr(bits[b / 64], 1ull << (b % 64));
-    }
-  }
-
-  bool AnyMarks() const {
-    for (const auto& w : bits) {
-      if (w.load(std::memory_order_relaxed) != 0) {
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  // Single-writer OR without a lock-prefixed RMW; safe only because no one
-  // but the owning processor ever stores to shard words.
-  static void OwnerOr(std::atomic<std::uint64_t>& w, std::uint64_t mask) {
-    const std::uint64_t old = w.load(std::memory_order_relaxed);
-    if ((old & mask) != mask) {
-      w.store(old | mask, std::memory_order_relaxed);
-    }
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Run-length encoded diffs.
@@ -183,7 +52,6 @@ inline constexpr std::size_t kDiffRunHeaderBytes = sizeof(DiffRun);
 // Host-side scan instrumentation, surfaced as kDiffBlocks* counters.
 struct DiffScanStats {
   std::uint64_t blocks_scanned = 0;  // blocks whose words were loaded
-  std::uint64_t blocks_skipped = 0;  // blocks skipped via the dirty map
   std::uint64_t runs = 0;            // RLE runs emitted (or applied)
   std::uint64_t run_bytes = 0;       // wire bytes: payload + run headers
 };
@@ -230,22 +98,13 @@ class DiffBuffer {
 // ---------------------------------------------------------------------------
 // Encode / apply.
 
-// Density cutover for map-restricted scans: when more than this many blocks
-// are marked, the SIMD XOR prefilter is pure overhead (few blocks can be
-// skipped, and dirty blocks pay both the wide pass and the atomic confirm
-// loads), so the scan falls back to the straight word-at-a-time walk of the
-// marked blocks. Results and statistics are unaffected — only host time.
-inline constexpr std::size_t kDiffDenseCutoverBlocks = kBlocksPerPage / 2;
-
 // Block-scans working vs twin and appends every modified word to `out` as
 // RLE runs (runs freely straddle block boundaries). With `flush_update`
 // the twin is synchronized from the payload snapshot during the scan, so
 // twin and master receive bit-identical values even if a local writer
-// races with the scan. `dirty` (may be null) restricts the scan to marked
-// blocks. Returns the number of modified words.
+// races with the scan. Returns the number of modified words.
 std::size_t EncodeOutgoingDiff(const std::byte* working, std::byte* twin, bool flush_update,
-                               const DirtyBlockMap* dirty, DiffBuffer& out,
-                               DiffScanStats* scan = nullptr);
+                               DiffBuffer& out, DiffScanStats* scan = nullptr);
 
 // Word-atomic scatter of an encoded diff into a page image.
 void ApplyDiffRuns(const DiffBuffer& diff, std::byte* dst);
@@ -256,8 +115,7 @@ void ApplyDiffRuns(const DiffBuffer& diff, std::byte* dst);
 // these modifications as already flushed. Returns the number of words
 // written. Block-scanned; allocation-free (fault-path safe).
 std::size_t ApplyOutgoingDiff(const std::byte* working, std::byte* twin, std::byte* master,
-                              bool flush_update, const DirtyBlockMap* dirty = nullptr,
-                              DiffScanStats* scan = nullptr);
+                              bool flush_update, DiffScanStats* scan = nullptr);
 
 // Incoming diff: for every word where `incoming` differs from `twin`,
 // write the incoming word to both `working` and `twin`. Because programs
@@ -269,23 +127,8 @@ std::size_t ApplyIncomingDiff(const std::byte* incoming, std::byte* twin, std::b
 // Full page copy (used when no local writer exists). Word-atomic.
 void CopyPage(std::byte* dst, const std::byte* src);
 
-// Number of words differing between two page images (no writes). `dirty`
-// (may be null) restricts the scan to marked blocks.
-std::size_t CountDiffWords(const std::byte* a, const std::byte* b,
-                           const DirtyBlockMap* dirty = nullptr);
-
-// ---------------------------------------------------------------------------
-// Reference word-at-a-time scanners: the seed implementation, kept as the
-// oracle for property tests and as the baseline of bench_diff_engine.
-
-std::size_t ApplyOutgoingDiffWordScan(const std::byte* working, std::byte* twin,
-                                      std::byte* master, bool flush_update);
-std::size_t ApplyIncomingDiffWordScan(const std::byte* incoming, std::byte* twin,
-                                      std::byte* working);
-std::size_t CountDiffWordsWordScan(const std::byte* a, const std::byte* b);
-
 // Debug-build verification that the RLE encode reproduces the word-level
-// diff the reference scanner finds (compiled out under NDEBUG; can be
+// diff a plain word-by-word comparison finds (compiled out under NDEBUG; can be
 // disabled for tests that race writers against the scanner, where the
 // re-scan would be a false positive).
 void SetDiffVerifyForTesting(bool enabled);

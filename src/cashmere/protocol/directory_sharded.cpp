@@ -1,5 +1,7 @@
 #include "cashmere/protocol/directory_sharded.hpp"
 
+#include <sys/mman.h>
+
 #include "cashmere/common/logging.hpp"
 
 namespace cashmere {
@@ -24,46 +26,38 @@ ShardedDirectory::ShardedDirectory(const Config& cfg, McHub& hub, const HomeTabl
       segment_words_(static_cast<std::size_t>(cfg.dir.segment_pages) *
                      static_cast<std::size_t>(units_)),
       cache_mask_(RoundUpPow2(cfg.dir.cache_entries) - 1),
-      segments_((cfg.pages() + segment_pages_ - 1) / segment_pages_),
+      entries_bytes_(((cfg.pages() + segment_pages_ - 1) / segment_pages_) * segment_words_ *
+                     kWordBytes),
+      touched_((cfg.pages() + segment_pages_ - 1) / segment_pages_),
       caches_(static_cast<std::size_t>(units_)),
       order_locks_(kNumOrderLocks) {
   CSM_CHECK(units_ <= kMaxProcs);  // a sharer set must fit one 32-bit MC word
+  // Anonymous memory reads as zero until first written, so no entry needs
+  // initializing; NORESERVE keeps untouched segments free of commit charge.
+  void* p = mmap(nullptr, entries_bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  CSM_CHECK(p != MAP_FAILED);
+  entries_ = static_cast<std::uint32_t*>(p);
   for (UnitCache& cache : caches_) {
     cache.entries = std::vector<CacheEntry>(cache_mask_ + 1);
   }
 }
 
+ShardedDirectory::~ShardedDirectory() { munmap(entries_, entries_bytes_); }
+
 std::uint32_t* ShardedDirectory::EnsureSegment(PageId page) {
-  const std::size_t idx = SegmentIndex(page);
-  std::uint32_t* seg = segments_[idx].load(std::memory_order_acquire);
-  if (seg != nullptr) {
-    return seg;
+  std::atomic<bool>& touched = touched_[SegmentIndex(page)];
+  if (!touched.load(std::memory_order_relaxed) &&
+      !touched.exchange(true, std::memory_order_relaxed)) {
+    segments_allocated_.fetch_add(1, std::memory_order_relaxed);
   }
-  SpinLockGuard guard(alloc_lock_);
-  seg = segments_[idx].load(std::memory_order_relaxed);
-  if (seg != nullptr) {
-    return seg;
-  }
-  // Value-initialized: an untouched word is packed DirWord{} (invalid).
-  // csm-lint: allow(fault-path-signal-safety) -- first-touch segment
-  // allocation can run under a fault; it happens once per segment, and
-  // preallocating in sigsegv mode is an open ROADMAP item
-  auto storage = std::make_unique<std::uint32_t[]>(segment_words_);
-  seg = storage.get();
-  // csm-lint: allow(fault-path-signal-safety) -- same one-time segment
-  // bookkeeping as the allocation above
-  owned_segments_.push_back(std::move(storage));
-  segments_allocated_.fetch_add(1, std::memory_order_relaxed);
-  // Release pairs with SegmentFor's acquire: a reader that sees the
-  // pointer sees the zeroed words.
-  segments_[idx].store(seg, std::memory_order_release);
-  return seg;
+  return SegmentFor(page);
 }
 
 void ShardedDirectory::FillLocked(CacheEntry& e, PageId page, UnitId reader) {
   const std::uint32_t* seg = SegmentFor(page);
   for (int u = 0; u < units_; ++u) {
-    e.words[u] = seg != nullptr ? LoadWord32(&seg[SlotOf(page, u)]) : 0;
+    e.words[u] = LoadWord32(&seg[SlotOf(page, u)]);
   }
   e.page = page;
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
@@ -217,9 +211,6 @@ int ShardedDirectory::Sharers(PageId page, UnitId exclude, UnitId* out) {
     hub_.AccountWrite(Traffic::kDirectory, 2 * kWordBytes);
   }
   int n = 0;
-  if (seg == nullptr) {
-    return n;
-  }
   for (int u = 0; u < units_; ++u) {
     if (u == exclude) {
       continue;

@@ -23,10 +23,13 @@
 //     kept exact by write-through. Cached other-unit words may be stale;
 //     every caller of the cached queries tolerates that (see the
 //     freshness contract in directory.hpp and DESIGN.md §13).
-//   - Entry storage is allocated lazily in fixed-size segments of
-//     dir.segment_pages pages, so an arena with 10^6 mostly-untouched
-//     pages costs memory proportional to *touched* pages, not
-//     pages x units. An untouched page's entry reads as all-invalid.
+//   - Entry storage is one MAP_NORESERVE anonymous reservation, committed
+//     by the kernel page by page on first store, so an arena with 10^6
+//     mostly-untouched pages costs memory proportional to *touched* pages,
+//     not pages x units. Untouched words read as zero (packed DirWord{},
+//     all-invalid). Nothing allocates after construction, so the SIGSEGV
+//     fault path may write entries freely. Touch is tracked per segment of
+//     dir.segment_pages pages for ResidentBytes.
 //
 // The simulation stores each entry once (as it does for every MC region);
 // traffic is accounted as if the words crossed the wire to/from the owner.
@@ -38,7 +41,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cashmere/common/config.hpp"
@@ -51,6 +53,9 @@ namespace cashmere {
 class ShardedDirectory final : public DirectoryBackend {
  public:
   ShardedDirectory(const Config& cfg, McHub& hub, const HomeTable& homes);
+  ~ShardedDirectory() override;
+  ShardedDirectory(const ShardedDirectory&) = delete;
+  ShardedDirectory& operator=(const ShardedDirectory&) = delete;
 
   DirWord Read(PageId page, UnitId unit) override;
   DirWriteResult Write(PageId page, UnitId unit, DirWord word) override;
@@ -101,11 +106,12 @@ class ShardedDirectory final : public DirectoryBackend {
                static_cast<std::size_t>(units_) +
            static_cast<std::size_t>(unit);
   }
-  // Acquire-load of the page's segment; nullptr means never touched (every
-  // word reads as packed DirWord{} == 0, i.e. invalid).
+  // The page's segment of the reservation. Untouched words read as packed
+  // DirWord{} == 0, i.e. invalid.
   std::uint32_t* SegmentFor(PageId page) const {
-    return segments_[SegmentIndex(page)].load(std::memory_order_acquire);
+    return entries_ + SegmentIndex(page) * segment_words_;
   }
+  // SegmentFor, first marking the segment touched (writers only).
   std::uint32_t* EnsureSegment(PageId page);
   CacheEntry& EntryFor(UnitId reader, PageId page) {
     return caches_[static_cast<std::size_t>(reader)]
@@ -127,13 +133,11 @@ class ShardedDirectory final : public DirectoryBackend {
   std::size_t segment_words_;
   std::uint32_t cache_mask_;
 
-  // Lazily-allocated shard segments. Readers take the acquire-load fast
-  // path; allocation double-checks under alloc_lock_ (see
-  // docs/concurrency.md lock ordering).
-  std::vector<std::atomic<std::uint32_t*>> segments_;
-  SpinLock alloc_lock_;
-  std::vector<std::unique_ptr<std::uint32_t[]>> owned_segments_
-      CSM_GUARDED_BY(alloc_lock_);
+  // Entry storage (one reservation of every segment) and its per-segment
+  // touched flags.
+  std::size_t entries_bytes_;
+  std::uint32_t* entries_ = nullptr;
+  std::vector<std::atomic<bool>> touched_;
 
   std::vector<UnitCache> caches_;
   std::vector<PaddedLock> order_locks_;

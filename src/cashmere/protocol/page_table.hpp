@@ -49,13 +49,10 @@ struct PageLocal {
   // Local procs holding the page dirty
   std::uint8_t dirty_mask CSM_GUARDED_BY(lock) = 0;
   bool twin_valid CSM_GUARDED_BY(lock) = false;
-  // Twin generation: incremented (under the page lock, via SetTwinValid)
-  // every time twin_valid toggles, so parity encodes validity (odd ⇔ a
-  // twin is live). The lock-free write-tracking fast path reads it without
-  // the lock and stamps per-processor dirty-map shards with it; shards
-  // stamped with a stale generation are discarded at merge time instead of
-  // polluting a newer twin's map (see DirtyMapShard).
-  std::atomic<std::uint64_t> twin_gen{0};
+  // Twin generation: incremented (via SetTwinValid) every time twin_valid
+  // toggles, so parity encodes validity (odd ⇔ a twin is live). Carried by
+  // the kTwinCreate/kTwinDiscard trace events for the replay checker.
+  std::uint64_t twin_gen CSM_GUARDED_BY(lock) = 0;
   // This unit holds the page in exclusive mode
   bool exclusive CSM_GUARDED_BY(lock) = false;
   // Processor recorded as the exclusive holder
@@ -89,7 +86,7 @@ struct PageLocal {
       return;
     }
     twin_valid = v;
-    twin_gen.fetch_add(1, std::memory_order_release);
+    ++twin_gen;
   }
 
   Perm PermOfLocal(int local_index) const CSM_REQUIRES(lock) {
@@ -100,8 +97,8 @@ struct PageLocal {
   // spurious fault that re-validates under the lock, and a racing
   // *downgrade* can be ordered before the probe anyway — equivalent to the
   // access having happened just before the downgrader took the lock, which
-  // the flush/merge discipline already tolerates (monotone dirty maps,
-  // stale-generation shard discard).
+  // the flush discipline already tolerates (every flush rescans the whole
+  // page against the twin).
   Perm PermOfLocalRelaxed(int local_index) const {
     return static_cast<Perm>(proc_perm[local_index].load(std::memory_order_relaxed));
   }

@@ -6,11 +6,7 @@
 
 namespace cashmere {
 
-TwinPool::TwinPool(std::size_t heap_bytes)
-    : size_(heap_bytes),
-      maps_(std::make_unique<DirtyBlockMap[]>((heap_bytes + kPageBytes - 1) / kPageBytes)),
-      shards_(std::make_unique<DirtyMapShard[]>(
-          ((heap_bytes + kPageBytes - 1) / kPageBytes) * kMaxProcsPerNode)) {
+TwinPool::TwinPool(std::size_t heap_bytes) : size_(heap_bytes) {
   void* p = mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   CSM_CHECK(p != MAP_FAILED);
   base_ = static_cast<std::byte*>(p);

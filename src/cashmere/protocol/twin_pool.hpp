@@ -8,23 +8,12 @@
 // Twins live in a lazily-populated anonymous mapping with one fixed slot
 // per page, so twin creation never allocates (the fault path runs inside a
 // signal handler).
-//
-// Alongside each twin slot the pool keeps a DirtyBlockMap: a conservative
-// superset of the 64-byte blocks where the working copy may differ from
-// the twin, letting diff scans skip blocks that cannot have changed. The
-// map is only meaningful while the page's twin is valid, and is monotone
-// over a twin's lifetime: marks are added (at twin creation, and per write
-// in software fault mode) but never removed until the twin is recreated —
-// clearing at flush time would race with writers that mark before a flush
-// scan but write after it.
 #ifndef CASHMERE_PROTOCOL_TWIN_POOL_HPP_
 #define CASHMERE_PROTOCOL_TWIN_POOL_HPP_
 
 #include <cstddef>
-#include <memory>
 
 #include "cashmere/common/types.hpp"
-#include "cashmere/protocol/diff.hpp"
 
 namespace cashmere {
 
@@ -37,23 +26,9 @@ class TwinPool {
 
   std::byte* TwinPtr(PageId page) const { return base_ + static_cast<std::size_t>(page) * kPageBytes; }
 
-  // Dirty-block map for the page's twin slot (valid iff the twin is).
-  DirtyBlockMap& Map(PageId page) const { return maps_[static_cast<std::size_t>(page)]; }
-
-  // Per-processor dirty-map shard for the page: the lock-free write path
-  // marks here (owner-only writes); flushes OR-fold generation-matching
-  // shards into Map(page) under the page lock. Cache-line sized and
-  // indexed [page][local_index] so concurrent markers never share a line.
-  DirtyMapShard& Shard(PageId page, int local_index) const {
-    return shards_[static_cast<std::size_t>(page) * kMaxProcsPerNode +
-                   static_cast<std::size_t>(local_index)];
-  }
-
  private:
   std::size_t size_;
   std::byte* base_ = nullptr;
-  std::unique_ptr<DirtyBlockMap[]> maps_;
-  std::unique_ptr<DirtyMapShard[]> shards_;
 };
 
 }  // namespace cashmere

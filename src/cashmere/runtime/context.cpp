@@ -1,5 +1,8 @@
 #include "cashmere/runtime/context.hpp"
 
+#include <cstdint>
+
+#include "cashmere/common/logging.hpp"
 #include "cashmere/runtime/runtime.hpp"
 
 namespace cashmere {
@@ -52,11 +55,22 @@ void Context::Poll() {
   runtime_->BumpProgress();
 }
 
+// Pages spanned by [addr, addr + bytes) (a zero-byte access checks the
+// page of `addr`). The range must lie inside the shared heap: page state is
+// indexed by page number with no further bounds check.
+std::pair<PageId, PageId> Context::HeapPages(const void* addr, std::size_t bytes) const {
+  const auto begin = reinterpret_cast<std::uintptr_t>(addr);
+  const auto base = reinterpret_cast<std::uintptr_t>(view_base_);
+  const std::size_t span = bytes == 0 ? 1 : bytes;
+  CSM_CHECK(begin >= base && begin - base <= runtime_->config().heap_bytes &&
+            span <= runtime_->config().heap_bytes - (begin - base) &&
+            "EnsureRead/EnsureWrite range lies outside the shared heap");
+  const GlobalAddr offset = begin - base;
+  return {PageOf(offset), PageOf(offset + span - 1)};
+}
+
 void Context::EnsureRead(const void* addr, std::size_t bytes) {
-  const auto offset =
-      static_cast<GlobalAddr>(static_cast<const std::byte*>(addr) - view_base_);
-  const PageId first = PageOf(offset);
-  const PageId last = PageOf(offset + (bytes == 0 ? 0 : bytes - 1));
+  const auto [first, last] = HeapPages(addr, bytes);
   for (PageId page = first; page <= last; ++page) {
     if (runtime_->protocol().PageState(unit_, page).PermOfLocalRelaxed(local_index_) ==
         Perm::kInvalid) {
@@ -66,25 +80,12 @@ void Context::EnsureRead(const void* addr, std::size_t bytes) {
 }
 
 void Context::EnsureWrite(void* addr, std::size_t bytes) {
-  const auto offset = static_cast<GlobalAddr>(static_cast<std::byte*>(addr) - view_base_);
-  const PageId first = PageOf(offset);
-  const PageId last = PageOf(offset + (bytes == 0 ? 0 : bytes - 1));
-  const GlobalAddr end = offset + bytes;
+  const auto [first, last] = HeapPages(addr, bytes);
   for (PageId page = first; page <= last; ++page) {
     if (runtime_->protocol().PageState(unit_, page).PermOfLocalRelaxed(local_index_) !=
         Perm::kReadWrite) {
       runtime_->protocol().OnFault(*this, page, /*is_write=*/true);
     }
-    // Software fault mode sees every write, so dirty-region tracking is
-    // exact: mark the written blocks so diff scans skip the rest of the
-    // page. (In SIGSEGV mode writes are invisible and the page's map stays
-    // conservatively full.)
-    const GlobalAddr page_base = static_cast<GlobalAddr>(page) * kPageBytes;
-    const GlobalAddr lo = offset > page_base ? offset : page_base;
-    const GlobalAddr hi = end < page_base + kPageBytes ? end : page_base + kPageBytes;
-    runtime_->protocol().NoteLocalWrite(unit_, local_index_, page,
-                                        static_cast<std::size_t>(lo - page_base),
-                                        static_cast<std::size_t>(hi - lo));
   }
 }
 

@@ -405,8 +405,8 @@ void Runtime::Run(const std::function<void(Context&)>& body) {
       Context& ctx = contexts_[static_cast<std::size_t>(p)];
       Context::Bind(&ctx);
       // Declare this thread's identity to the single-writer ownership
-      // checker: it is the sole legitimate writer of processor p's stats,
-      // trace ring, and dirty-map shards.
+      // checker: it is the sole legitimate writer of processor p's stats
+      // and trace ring.
       OwnershipBindThread(p, ctx.unit());
       ctx.clock().Start(scale);
       if (trace_log_) {

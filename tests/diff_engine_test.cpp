@@ -1,11 +1,9 @@
 // Property tests for the block-scanned, run-length diff engine against the
-// seed's word-at-a-time scanner (kept as the oracle):
+// seed's word-at-a-time scanner (kept as the oracle, diff_oracle.hpp):
 //  - the block scan and the RLE encode→apply round trip produce byte-
-//    identical master/twin/working images for random triples, including
-//    runs that straddle 64-byte block boundaries, all-clean and all-dirty
-//    pages, and the first/last words of a page;
-//  - a dirty-block map that covers every modified block changes nothing
-//    but the number of blocks scanned;
+//    identical master/twin/working images for random triples at every
+//    density, including runs that straddle 64-byte block boundaries,
+//    all-clean and all-dirty pages, and the first/last words of a page;
 //  - a local writer racing with an outgoing flush never corrupts words it
 //    does not own.
 #include <gtest/gtest.h>
@@ -16,6 +14,7 @@
 
 #include "cashmere/common/rng.hpp"
 #include "cashmere/protocol/diff.hpp"
+#include "diff_oracle.hpp"
 
 namespace cashmere {
 namespace {
@@ -62,7 +61,7 @@ void CheckOutgoingEquivalence(const std::vector<std::size_t>& modified, bool flu
   DiffBuffer buf;
   DiffScanStats scan;
   const std::size_t n_rle =
-      EncodeOutgoingDiff(Bytes(working), Bytes(twin_rle), flush_update, nullptr, buf, &scan);
+      EncodeOutgoingDiff(Bytes(working), Bytes(twin_rle), flush_update, buf, &scan);
   SetDiffVerifyForTesting(false);
   ApplyDiffRuns(buf, Bytes(master_rle));
   EXPECT_EQ(n_rle, n_ref);
@@ -72,7 +71,6 @@ void CheckOutgoingEquivalence(const std::vector<std::size_t>& modified, bool flu
   EXPECT_EQ(scan.runs, buf.run_count());
   EXPECT_EQ(scan.run_bytes, buf.WireBytes());
   EXPECT_EQ(scan.blocks_scanned, kBlocksPerPage);
-  EXPECT_EQ(scan.blocks_skipped, 0u);
   // Runs are maximal: consecutive runs never abut.
   for (std::size_t r = 1; r < buf.run_count(); ++r) {
     EXPECT_GT(buf.run(r).offset_words,
@@ -114,9 +112,12 @@ TEST(DiffEngineTest, WorstCaseAlternatingWordsFitsBuffer) {
 
 TEST(DiffEngineTest, RandomTriplesMatchWordScanner) {
   SplitMix64 rng(31);
-  for (int trial = 0; trial < 50; ++trial) {
-    // Density sweep: from a handful of words to about half the page.
-    const std::size_t count = 1 + rng.NextBelow(1 + trial * 20);
+  constexpr int kTrials = 50;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    // Density sweep: from a handful of words up to the whole page (drawn
+    // with repeats, so the top trials dirty most but not all words).
+    const std::size_t count =
+        1 + rng.NextBelow(1 + trial * (2 * kWordsPerPage) / (kTrials - 1));
     std::vector<std::size_t> mods;
     mods.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
@@ -149,127 +150,6 @@ TEST(DiffEngineTest, IncomingMatchesWordScanner) {
     EXPECT_EQ(working_blk, working_ref);
     EXPECT_EQ(scan.blocks_scanned, kBlocksPerPage);
   }
-}
-
-TEST(DiffEngineTest, DirtyMapRestrictsScanWithoutChangingResult) {
-  SplitMix64 rng(51);
-  for (int trial = 0; trial < 20; ++trial) {
-    Page base = MakePage(300 + trial);
-    Page working = base;
-    DirtyBlockMap map;
-    map.Clear();
-    const std::size_t count = 1 + rng.NextBelow(60);
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t i = rng.NextBelow(kWordsPerPage);
-      working[i] ^= 0xA5A5A5A5u;
-      map.MarkRange(i * kWordBytes, kWordBytes);
-    }
-    // The map covers every modified block, so the restricted scan must
-    // reproduce the unrestricted result exactly — only cheaper.
-    Page twin_full = base, master_full = base;
-    const std::size_t n_full =
-        ApplyOutgoingDiff(Bytes(working), Bytes(twin_full), Bytes(master_full), true);
-    Page twin_map = base, master_map = base;
-    DiffScanStats scan;
-    const std::size_t n_map = ApplyOutgoingDiff(Bytes(working), Bytes(twin_map),
-                                                Bytes(master_map), true, &map, &scan);
-    EXPECT_EQ(n_map, n_full);
-    EXPECT_EQ(master_map, master_full);
-    EXPECT_EQ(twin_map, twin_full);
-    EXPECT_EQ(scan.blocks_scanned, static_cast<std::uint64_t>(map.PopCount()));
-    EXPECT_EQ(scan.blocks_scanned + scan.blocks_skipped, kBlocksPerPage);
-    EXPECT_EQ(CountDiffWords(Bytes(working), Bytes(base), &map),
-              CountDiffWordsWordScan(Bytes(working), Bytes(base)));
-  }
-}
-
-TEST(DiffEngineTest, DensityCutoverBothSidesMatch) {
-  // The restricted scan switches from per-block prefiltered scanning to the
-  // dense word-at-a-time path once more than kDiffDenseCutoverBlocks blocks
-  // are marked. Exercise one count on each side of the threshold: the
-  // encodes, applies, and scan stats must be identical to the word-scan
-  // oracle either way — the cutover is a host-time strategy change only.
-  ASSERT_LT(kDiffDenseCutoverBlocks + 1, kBlocksPerPage);
-  for (const std::size_t nblocks :
-       {kDiffDenseCutoverBlocks, kDiffDenseCutoverBlocks + 1}) {
-    Page base = MakePage(70 + nblocks);
-    Page working = base;
-    DirtyBlockMap map;
-    map.Clear();
-    for (std::size_t b = 0; b < nblocks; ++b) {
-      // One modified word per marked block, at a varying in-block offset
-      // that never hits a block's last word (so runs never merge across
-      // block boundaries and the run count stays one per block).
-      const std::size_t i = b * kWordsPerBlock + (b % (kWordsPerBlock - 1));
-      working[i] ^= 0xC0FFEE00u;
-      map.MarkRange(b * kBlockBytes, 1);
-    }
-    ASSERT_EQ(map.PopCount(), static_cast<int>(nblocks));
-
-    Page twin_ref = base, master_ref = base;
-    const std::size_t n_ref =
-        ApplyOutgoingDiffWordScan(Bytes(working), Bytes(twin_ref), Bytes(master_ref), true);
-
-    SetDiffVerifyForTesting(true);
-    Page twin_rle = base, master_rle = base;
-    DiffBuffer buf;
-    DiffScanStats scan;
-    const std::size_t n_rle =
-        EncodeOutgoingDiff(Bytes(working), Bytes(twin_rle), true, &map, buf, &scan);
-    SetDiffVerifyForTesting(false);
-    ApplyDiffRuns(buf, Bytes(master_rle));
-    EXPECT_EQ(n_rle, n_ref);
-    EXPECT_EQ(master_rle, master_ref);
-    EXPECT_EQ(twin_rle, twin_ref);
-    EXPECT_EQ(buf.run_count(), nblocks);  // isolated words: one run per block
-    EXPECT_EQ(scan.blocks_scanned, nblocks);
-    EXPECT_EQ(scan.blocks_skipped, kBlocksPerPage - nblocks);
-  }
-}
-
-TEST(DiffEngineTest, ShardMarksTrackGenerationsAndStraddles) {
-  DirtyMapShard shard;
-  EXPECT_FALSE(shard.AnyMarks());
-  // First mark against generation 1: single-map-word fast path.
-  shard.MarkRange(1, 0, 1);
-  EXPECT_EQ(shard.gen.load(), 1u);
-  EXPECT_EQ(shard.bits[0].load(), 1u);
-  // A write straddling the block 63 / block 64 boundary spans both map words.
-  shard.MarkRange(1, 64 * kBlockBytes - 4, 8);
-  EXPECT_EQ(shard.bits[0].load(), 1u | (1ull << 63));
-  EXPECT_EQ(shard.bits[1].load(), 1u);
-  // The page's last byte marks the last block.
-  shard.MarkRange(1, kPageBytes - 1, 1);
-  EXPECT_EQ(shard.bits[1].load(), 1u | (1ull << 63));
-  EXPECT_TRUE(shard.AnyMarks());
-  // A mark against a newer twin generation discards the stale bits first.
-  shard.MarkRange(3, 2 * kBlockBytes, kBlockBytes);
-  EXPECT_EQ(shard.gen.load(), 3u);
-  EXPECT_EQ(shard.bits[0].load(), 1ull << 2);
-  EXPECT_EQ(shard.bits[1].load(), 0u);
-  // A full-width mask in one map word must not shift by 64 (UB guard).
-  DirtyMapShard wide;
-  wide.MarkRange(1, 0, 64 * kBlockBytes);
-  EXPECT_EQ(wide.bits[0].load(), ~0ull);
-  EXPECT_EQ(wide.bits[1].load(), 0u);
-}
-
-TEST(DiffEngineTest, MarkRangeCoversStraddlingWrites) {
-  DirtyBlockMap map;
-  map.Clear();
-  // A 12-byte write starting 4 bytes before a block boundary marks both.
-  map.MarkRange(kBlockBytes - 4, 12);
-  EXPECT_TRUE(map.Test(0));
-  EXPECT_TRUE(map.Test(1));
-  EXPECT_FALSE(map.Test(2));
-  EXPECT_EQ(map.PopCount(), 2);
-  map.MarkRange(kPageBytes - 1, 1);
-  EXPECT_TRUE(map.Test(kBlocksPerPage - 1));
-  map.MarkAll();
-  EXPECT_EQ(map.PopCount(), static_cast<int>(kBlocksPerPage));
-  EXPECT_TRUE(map.Any());
-  map.Clear();
-  EXPECT_FALSE(map.Any());
 }
 
 TEST(DiffEngineTest, ConcurrentWriterNeverCorruptsUnrelatedWords) {

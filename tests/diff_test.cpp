@@ -12,6 +12,7 @@
 
 #include "cashmere/common/rng.hpp"
 #include "cashmere/protocol/diff.hpp"
+#include "diff_oracle.hpp"
 
 namespace cashmere {
 namespace {

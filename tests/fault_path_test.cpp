@@ -139,6 +139,31 @@ TEST(FaultPathTest, SoftwareModeSpanningEnsureCalls) {
   });
 }
 
+// Page state is indexed by page number, so an access check for a range
+// outside the shared heap must abort rather than read past the page table.
+TEST(FaultPathDeathTest, EnsureOutsideSharedHeapAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Config cfg = FpConfig(1, 1);
+  cfg.fault_mode = FaultMode::kSoftware;
+  const auto ensure = [cfg](std::ptrdiff_t offset, std::size_t bytes, bool write) {
+    Runtime rt(cfg);
+    rt.Run([&](Context& ctx) {
+      std::byte* p = ctx.view_base() + offset;
+      if (write) {
+        ctx.EnsureWrite(p, bytes);
+      } else {
+        ctx.EnsureRead(p, bytes);
+      }
+    });
+  };
+  // Straddles the heap's end, starts one byte past it, and precedes it.
+  const auto heap = static_cast<std::ptrdiff_t>(cfg.heap_bytes);
+  EXPECT_DEATH(ensure(heap - 4, 8, /*write=*/true), "outside the shared heap");
+  EXPECT_DEATH(ensure(heap, 1, /*write=*/false), "outside the shared heap");
+  EXPECT_DEATH(ensure(-static_cast<std::ptrdiff_t>(kPageBytes), 4, /*write=*/false),
+               "outside the shared heap");
+}
+
 TEST(FaultPathTest, ColdReadOfZeroFilledHeap) {
   Runtime rt(FpConfig(4, 1));
   const GlobalAddr a = rt.heap().AllocPageAligned(2 * kPageBytes);

@@ -77,32 +77,28 @@ TEST(McHubTest, InprocCountersMatchPrePluggableAccounting) {
 
   hub.Issue(McOp::Word(&word, 1, Traffic::kWriteNotice));
   hub.Issue(McOp::Stream(page.data(), src.data(), kWordsPerPage, Traffic::kPageData));
-  // A 7-word diff run with the 8-byte framing header charged (the
-  // diff.charge_run_headers cost variant's WriteRun signature).
-  hub.Issue(McOp::Run(page.data(), 3, src.data(), 7, Traffic::kDiffData,
-                      /*header_bytes=*/8));
-  // And one without framing (the default).
+  // Two diff runs: payload bytes only, one write each.
+  hub.Issue(McOp::Run(page.data(), 3, src.data(), 7, Traffic::kDiffData));
   hub.Issue(McOp::Run(page.data(), 64, src.data(), 5, Traffic::kDiffData));
   hub.Issue(McOp::Broadcast(&word, 2, Traffic::kDirectory));
   hub.Issue(McOp::Exchange(&word, 3, Traffic::kSyncObject));
 
   // Pre-PR arithmetic: Write32 -> kWordBytes; WriteStream -> words*4;
-  // WriteRun -> nwords*4 + header_bytes; ordered ops -> kWordBytes*units.
+  // WriteRun -> nwords*4; ordered ops -> kWordBytes*units.
   // One write count per call regardless of size.
   EXPECT_EQ(hub.BytesSent(Traffic::kWriteNotice), kWordBytes);
   EXPECT_EQ(hub.WritesSent(Traffic::kWriteNotice), 1u);
   EXPECT_EQ(hub.BytesSent(Traffic::kPageData), kPageBytes);
   EXPECT_EQ(hub.WritesSent(Traffic::kPageData), 1u);
-  EXPECT_EQ(hub.BytesSent(Traffic::kDiffData), 7u * kWordBytes + 8u + 5u * kWordBytes);
+  EXPECT_EQ(hub.BytesSent(Traffic::kDiffData), 7u * kWordBytes + 5u * kWordBytes);
   EXPECT_EQ(hub.WritesSent(Traffic::kDiffData), 2u);
   EXPECT_EQ(hub.BytesSent(Traffic::kDirectory), kUnits * kWordBytes);
   EXPECT_EQ(hub.WritesSent(Traffic::kDirectory), 1u);
   EXPECT_EQ(hub.BytesSent(Traffic::kSyncObject), kUnits * kWordBytes);
   EXPECT_EQ(hub.WritesSent(Traffic::kSyncObject), 1u);
-  EXPECT_EQ(hub.TotalBytes(), kWordBytes + kPageBytes + 7u * kWordBytes + 8u +
+  EXPECT_EQ(hub.TotalBytes(), kWordBytes + kPageBytes + 7u * kWordBytes +
                                   5u * kWordBytes + 2u * kUnits * kWordBytes);
-  EXPECT_EQ(hub.DataBytes(), kPageBytes + 7u * kWordBytes + 8u + 5u * kWordBytes +
-                                 kWordBytes);
+  EXPECT_EQ(hub.DataBytes(), kPageBytes + 7u * kWordBytes + 5u * kWordBytes + kWordBytes);
 }
 
 // MC guarantees that two writes to the same region appear in the same order

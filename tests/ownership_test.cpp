@@ -10,7 +10,6 @@
 #include "cashmere/common/ownership.hpp"
 #include "cashmere/common/stats.hpp"
 #include "cashmere/common/trace.hpp"
-#include "cashmere/protocol/diff.hpp"
 
 namespace cashmere {
 namespace {
@@ -129,35 +128,36 @@ TEST_F(OwnershipDeathTest, CrossProcessorWriteAborts) {
         OwnerCell cell;
         std::thread writer([&cell] {
           OwnershipBindThread(/*proc=*/0, /*unit=*/0);
-          cell.NoteWrite("DirtyMapShard::MarkRange");
+          cell.NoteWrite("Stats::Add");
         });
         writer.join();
         std::thread intruder([&cell] {
           OwnershipBindThread(/*proc=*/1, /*unit=*/0);
-          cell.NoteWrite("DirtyMapShard::MarkRange");  // second writer: abort
+          cell.NoteWrite("Stats::Add");  // second writer: abort
         });
         intruder.join();
       },
       "ownership violation");
 }
 
-TEST_F(OwnershipDeathTest, CrossProcessorShardMarkAborts) {
+TEST_F(OwnershipDeathTest, CrossProcessorTraceAppendAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
         SetOwnershipChecksForTesting(true);
-        // The real structure, not a bare cell: processor 0 seeds its own
-        // dirty-map shard, then processor 2's thread marks the same shard —
-        // exactly the single-writer violation the annotation declares.
-        DirtyMapShard shard;
-        std::thread owner([&shard] {
+        // The real structure, not a bare cell: processor 0 appends to its
+        // own trace ring, then processor 2's thread appends to the same
+        // ring — exactly the single-writer violation the annotation
+        // declares.
+        TraceRing ring(64);
+        std::thread owner([&ring] {
           OwnershipBindThread(0, 0);
-          shard.MarkRange(/*twin_generation=*/1, /*offset=*/0, /*bytes=*/64);
+          ring.Append(TraceEvent{});
         });
         owner.join();
-        std::thread intruder([&shard] {
+        std::thread intruder([&ring] {
           OwnershipBindThread(2, 0);
-          shard.MarkRange(1, 128, 64);
+          ring.Append(TraceEvent{});
         });
         intruder.join();
       },

@@ -81,8 +81,7 @@ TEST_P(TransportTest, RunScatterMatchesMemcpy) {
     for (auto& w : payload) {
       w = static_cast<std::uint32_t>(rng.Next());
     }
-    t_->Execute(McOp::Run(base.data(), off, payload.data(), n, Traffic::kDiffData,
-                          /*header_bytes=*/8));
+    t_->Execute(McOp::Run(base.data(), off, payload.data(), n, Traffic::kDiffData));
     std::memcpy(expect.data() + off, payload.data(), n * kWordBytes);
   }
   EXPECT_EQ(std::memcmp(base.data(), expect.data(), kBaseWords * kWordBytes), 0);

@@ -30,7 +30,7 @@ using namespace cashmere;
                "usage: %s --app <%s>\n"
                "          [--protocol 2L|2LS|2L-lock|1LD|1L] [--procs N] [--ppn N]\n"
                "          [--size test|bench|large] [--home-opt] [--interrupts]\n"
-               "          [--no-first-touch] [--async] [--no-async]\n"
+               "          [--no-first-touch] [--no-async]\n"
                "          [--dir replicated|sharded] [--cost-scale auto|<float>]\n"
                "          [--transport inproc|shm] [--list]\n"
                "  (CSM_TRANSPORT=inproc|shm sets the default backend; the flag\n"
@@ -103,8 +103,6 @@ int main(int argc, char** argv) {
       cfg.delivery = DeliveryMode::kInterrupt;
     } else if (arg == "--no-first-touch") {
       cfg.first_touch = false;
-    } else if (arg == "--async") {
-      cfg.async.release = true;
     } else if (arg == "--no-async") {
       cfg.async.release = false;
     } else if (arg == "--dir") {

@@ -3,7 +3,7 @@
 // optionally export it as Chrome trace_event JSON.
 //
 //   cashmere_trace --app SOR [--protocol 2L] [--procs 32] [--ppn 4]
-//                  [--size test|bench|large] [--ring-events N] [--async]
+//                  [--size test|bench|large] [--ring-events N] [--no-async]
 //                  [--json trace.json] [--no-check]
 //
 // Exits 0 iff the run verified against the sequential reference and the
@@ -47,8 +47,8 @@ using namespace cashmere;
   std::fprintf(stderr,
                "usage: %s [contention] --app <%s>\n"
                "          [--protocol 2L|2LS|2L-lock|1LD|1L] [--procs N] [--ppn N]\n"
-               "          [--size test|bench|large] [--ring-events N] [--async]\n"
-               "          [--no-async] [--dir replicated|sharded]\n"
+               "          [--size test|bench|large] [--ring-events N] [--no-async]\n"
+               "          [--dir replicated|sharded]\n"
                "          [--json <file>] [--no-check] [--top N]\n",
                argv0, names.c_str());
   std::exit(2);
@@ -266,8 +266,6 @@ int main(int argc, char** argv) {
       json_path = next();
     } else if (arg == "--no-check") {
       check = false;
-    } else if (arg == "--async") {
-      cfg.async.release = true;
     } else if (arg == "--no-async") {
       cfg.async.release = false;
     } else if (arg == "--dir") {

@@ -144,9 +144,6 @@ LockClass ClassifyLockExpr(const std::vector<Token>& t, std::size_t b,
     if (n == "OrderLockFor" || n == "order_locks_" || n == "OrderLock") {
       return LockClass::kDirStripe;
     }
-    if (n == "alloc_lock_") {
-      return LockClass::kDirAlloc;
-    }
     if (n == "lock") {
       if (i >= b + 2 && (IsP(t, i - 1, ".") || IsP(t, i - 1, "->")) &&
           t[i - 2].kind == TokKind::kIdent) {
@@ -618,8 +615,6 @@ const char* LockClassName(LockClass c) {
       return "dir-stripe";
     case LockClass::kDirEntryCache:
       return "dir-entry-cache";
-    case LockClass::kDirAlloc:
-      return "dir-alloc";
     case LockClass::kUnknown:
       return "unknown";
   }

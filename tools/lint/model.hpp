@@ -24,7 +24,7 @@
 
 namespace csmlint {
 
-// The seven documented lock classes (docs/concurrency.md "Lock ordering")
+// The six documented lock classes (docs/concurrency.md "Lock ordering")
 // plus kUnknown for everything the table does not govern. THIS ENUM IS THE
 // MACHINE-READABLE LOCK TABLE: the ordering discipline itself is uniform —
 // kPage may be held while acquiring anything (including another kPage, the
@@ -39,7 +39,6 @@ enum class LockClass {
   kMcOrder,       // MC ordered-op lock (order_lock_ / SharedWordLock)
   kDirStripe,     // sharded directory 64-way order-lock stripe / OrderLock()
   kDirEntryCache, // sharded directory per-slot CacheEntry::lock
-  kDirAlloc,      // sharded directory segment alloc_lock_
   kUnknown,       // not one of the documented classes; never checked
 };
 
