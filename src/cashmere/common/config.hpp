@@ -95,9 +95,6 @@ struct AsyncTuning {
   // Config::AsyncRelease). Set false to force the historical synchronous
   // release path.
   bool release = true;
-  // CoherenceLog ring capacity (records per unit). A full ring back-
-  // pressures the publisher, which spins until the agent catches up.
-  std::uint32_t log_entries = 64;
 };
 
 // Memory Channel transport selection (mc/transport.hpp, DESIGN.md §14).

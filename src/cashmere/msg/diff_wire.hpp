@@ -3,14 +3,16 @@
 // The seed shipped outgoing diffs by walking the in-memory DiffBuffer and
 // issuing one remote write per run. This layer finishes the wire format:
 // the encoded diff — DiffRun headers followed by the payload snapshot — is
-// serialized into a per-processor wire buffer owned by the message layer,
-// and the apply side replays the runs directly from that image into the
-// home node's master copy (one run McOp issued through the hub per run), never re-scanning
-// the page word-by-word on the receive side.
+// serialized into the wire image of a release record (CoherenceRecord, one
+// per processor plus the log entries), and the apply side replays the runs
+// directly from that image into the home node's master copy (one run McOp
+// issued through the hub per run), never re-scanning the page word-by-word
+// on the receive side.
 //
-// The sender performs the replay synchronously, which is faithful to the
-// Memory Channel: a diff flush is DMA of the modified words into the home
-// node's receive region, performed by the sender's writes themselves.
+// The synchronous drain policy replays on the sender, which is faithful to
+// the Memory Channel: a diff flush is DMA of the modified words into the
+// home node's receive region, performed by the sender's writes themselves;
+// the asynchronous policy replays the same image on the unit's cache agent.
 // Traffic accounting is byte-identical to the seed's direct loop (payload
 // bytes, one accounted write per run): the run headers are host-side
 // framing, never MC traffic.
@@ -27,9 +29,9 @@
 namespace cashmere {
 
 // One serialized diff: [nruns run headers][nwords payload words], plus
-// host-side metadata. Sized for the worst case (alternating dirty words),
-// one slot per processor, so serialization never allocates — the flush
-// paths run inside the SIGSEGV fault handler.
+// host-side metadata. Sized for the worst case (alternating dirty words)
+// and preallocated, so serialization never allocates — the flush paths
+// run inside the SIGSEGV fault handler.
 struct DiffWireSlot {
   PageId page = kInvalidPage;
   std::uint32_t nruns = 0;

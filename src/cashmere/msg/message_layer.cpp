@@ -11,7 +11,6 @@ MessageLayer::MessageLayer(const Config& cfg)
       pending_(static_cast<std::size_t>(units_)),
       poll_locks_(static_cast<std::size_t>(units_)),
       slots_(static_cast<std::size_t>(cfg.total_procs())),
-      diff_slots_(static_cast<std::size_t>(cfg.total_procs())),
       next_seq_(static_cast<std::size_t>(cfg.total_procs())) {
   for (auto& s : next_seq_) {
     s.store(0, std::memory_order_relaxed);

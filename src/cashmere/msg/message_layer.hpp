@@ -20,7 +20,6 @@
 #include "cashmere/common/spin.hpp"
 #include "cashmere/common/types.hpp"
 #include "cashmere/mc/hub.hpp"
-#include "cashmere/msg/diff_wire.hpp"
 
 namespace cashmere {
 
@@ -82,14 +81,6 @@ class MessageLayer {
   ReplySlot& SlotOf(ProcId proc) { return slots_[static_cast<std::size_t>(proc)]; }
   void Complete(ProcId requester, std::uint64_t seq, std::uint32_t flags, VirtTime responder_vt);
 
-  // Per-processor diff wire buffer ("diff transmit region"): the flush
-  // paths serialize encoded runs here and replay them into the home node's
-  // master copy (see diff_wire.hpp). Preallocated like the reply slots so
-  // flushes inside the SIGSEGV handler never allocate.
-  DiffWireSlot& DiffSlotOf(ProcId proc) {
-    return diff_slots_[static_cast<std::size_t>(proc)];
-  }
-
   // Global progress heartbeat for the deadlock watchdog.
   std::uint64_t heartbeat() const { return heartbeat_.load(std::memory_order_relaxed); }
 
@@ -119,7 +110,6 @@ class MessageLayer {
   std::vector<PaddedAtomicInt> pending_;   // per destination unit
   std::vector<PaddedSpinLock> poll_locks_; // per destination unit
   std::vector<ReplySlot> slots_;           // per processor
-  std::vector<DiffWireSlot> diff_slots_;   // per processor
   std::vector<std::atomic<std::uint64_t>> next_seq_;  // per processor
   std::vector<UnitId> unit_of_proc_;
   std::atomic<std::uint64_t> heartbeat_{0};

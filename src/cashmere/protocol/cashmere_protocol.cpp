@@ -229,22 +229,25 @@ void CashmereProtocol::HandleRequest(const Request& request) {
                   static_cast<std::uint32_t>(pl.excl_proc), 0);
       }
       std::byte* working = WorkingPtr(ctx.unit(), page);
-      if (!UnitAtMaster(ctx.unit(), page)) {
-        // Flush the entire page to the home node (Section 2.4.1).
-        deps_.hub->Issue(
-            McOp::Stream(MasterPtr(page), working, kWordsPerPage, Traffic::kPageData));
-        pl.flush_ts.store(us.Tick(), std::memory_order_release);
-        ctx.stats().Add(Counter::kPageFlushes);
-        ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                           cfg_.costs.PageTransferNs(false, cfg_.two_level()));
-      }
       // The exclusive holder processor is downgraded so its future writes
       // fault; other local writers keep their mappings but are noted in
       // their no-longer-exclusive lists so they flush (and send write
       // notices) at their next release. At the master copy no twin is
       // needed — writes land in the master directly — but the NLE entries
       // still drive write-notice generation.
+      //
+      // Order matters, because the local writers keep running while this
+      // handler works: the holder's downgrade must be in hardware, and the
+      // other writers' twin taken, before the flush reads the frame. A
+      // holder write landing after the flush's copy, or any write landing
+      // between that copy and the twin's, would reach neither the master
+      // copy nor a later diff.
       const int holder_li = pl.excl_proc - cfg_.FirstProcOfUnit(ctx.unit());
+      if (holder_li >= 0 && holder_li < cfg_.procs_per_unit() &&
+          pl.PermOfLocal(holder_li) == Perm::kReadWrite) {
+        ProtectLocal(ctx, pl, ctx.unit(), holder_li, page, Perm::kRead);
+      }
+      CommitPermBatch(ctx);
       bool other_writers = false;
       for (int li = 0; li < cfg_.procs_per_unit(); ++li) {
         if (li != holder_li && pl.PermOfLocal(li) == Perm::kReadWrite) {
@@ -268,15 +271,16 @@ void CashmereProtocol::HandleRequest(const Request& request) {
           }
         }
       }
-      if (holder_li >= 0 && holder_li < cfg_.procs_per_unit() &&
-          pl.PermOfLocal(holder_li) == Perm::kReadWrite) {
-        ProtectLocal(ctx, pl, ctx.unit(), holder_li, page, Perm::kRead);
+      if (!UnitAtMaster(ctx.unit(), page)) {
+        // Flush the entire page to the home node (Section 2.4.1).
+        deps_.hub->Issue(
+            McOp::Stream(MasterPtr(page), working, kWordsPerPage, Traffic::kPageData));
+        pl.flush_ts.store(us.Tick(), std::memory_order_release);
+        ctx.stats().Add(Counter::kPageFlushes);
+        ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
+                           cfg_.costs.PageTransferNs(false, cfg_.two_level()));
       }
       RefreshLoosestPerm(ctx, pl, page);
-      // The holder's hardware downgrade must land before the page is
-      // shipped: a deferred mprotect would leave a window where the holder
-      // keeps writing after the requester copied the "latest" contents.
-      CommitPermBatch(ctx);
       // Piggyback the latest copy of the page to the requester.
       ReplySlot& slot = deps_.msg->SlotOf(request.from_proc);
       deps_.hub->Issue(
@@ -290,18 +294,7 @@ void CashmereProtocol::HandleRequest(const Request& request) {
 std::uint64_t CashmereProtocol::AwaitReply(Context& ctx, std::uint64_t seq) {
   ctx.SetDebugState(2, seq);
   ReplySlot& slot = deps_.msg->SlotOf(ctx.proc());
-  Backoff backoff;
-  while (slot.done_seq.load(std::memory_order_acquire) < seq) {
-    // Service our own unit's incoming requests while waiting, as the
-    // paper's polling instrumentation does: this is what prevents two
-    // mutually-fetching nodes from deadlocking.
-    if (deps_.msg->HasPending(ctx.unit())) {
-      deps_.msg->Poll(ctx.unit());
-      backoff.Reset();
-    } else {
-      backoff.Pause();
-    }
-  }
+  ServeWhile(ctx, [&] { return slot.done_seq.load(std::memory_order_acquire) < seq; });
   ctx.SetDebugState(1, 0xffffffff);  // back in the fault path
   return slot.responder_vt;
 }
@@ -339,19 +332,22 @@ bool CashmereProtocol::NeedFetch(const PageLocal& pl, UnitId unit, PageId page) 
 
 void CashmereProtocol::WaitFetchDone(Context& ctx, PageLocal& pl) {
   ctx.SetDebugState(8, reinterpret_cast<std::uintptr_t>(&pl) & 0xffffffffu);
-  Backoff backoff;
-  while (pl.fetch_in_progress.load(std::memory_order_acquire)) {
-    if (deps_.msg->HasPending(ctx.unit())) {
-      deps_.msg->Poll(ctx.unit());
-      backoff.Reset();
-    } else {
-      backoff.Pause();
-    }
-  }
+  ServeWhile(ctx, [&] { return pl.fetch_in_progress.load(std::memory_order_acquire); });
 }
 
 void CashmereProtocol::ApplyIncoming(Context& ctx, PageLocal& pl, PageId page,
-                                     const std::byte* image, bool piggyback) {
+                                     const std::byte* image, bool piggyback,
+                                     std::uint64_t fetch_start_ts,
+                                     std::uint32_t diff_flushes_at_request) {
+  if (pl.diff_flushes != diff_flushes_at_request) {
+    // A local flush sent a diff after the request went out, so the home may
+    // have copied the master before that diff landed. The image would
+    // then hold pre-flush values for words this unit wrote: the two-way
+    // merge below would take them for remote modifications and revert the
+    // local ones, and a plain copy would overwrite them. Drop the image;
+    // the copy stays stale (update_ts untouched) and the fault fetches again.
+    return;
+  }
   std::byte* working = WorkingPtr(ctx.unit(), page);
   if (pl.twin_valid) {
     // Two-way diffing (Section 2.5): merge only the remote modifications so
@@ -377,10 +373,13 @@ void CashmereProtocol::ApplyIncoming(Context& ctx, PageLocal& pl, PageId page,
       TraceEmit(EventKind::kPageCopy, page, NextTraceSeq(pl), 0, piggyback ? 1 : 0);
     }
   }
+  pl.update_ts.store(fetch_start_ts, std::memory_order_release);
+  pl.ever_valid = true;
 }
 
 void CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId page,
-                                            UnitId holder) {
+                                            UnitId holder,
+                                            std::uint32_t diff_flushes_at_request) {
   // The update timestamp must not postdate any data the reply can contain:
   // stamp it at request time, so a write notice distributed while the
   // request is in flight still forces a refetch (update_ts <= wn_ts).
@@ -415,9 +414,8 @@ void CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId 
       // working-vs-twin must not interleave with the incoming merge's
       // working-then-twin writes, or it can push a stale word to the home.
       SpinLockGuard guard(pl.lock);
-      ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/true);
-      pl.update_ts.store(fetch_start_ts, std::memory_order_release);
-      pl.ever_valid = true;
+      ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/true, fetch_start_ts,
+                    diff_flushes_at_request);
     }
     // At the master copy the holder's break-time flush already updated our
     // frame; the piggybacked image is redundant.
@@ -432,6 +430,20 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
   // concurrent local faults coalesce onto this fetch.
   const UnitId home = deps_.homes->HomeOfPage(page);
 
+  // Every local diff flush before this point is in the master copy before
+  // the request goes out (synchronously under the page lock, or through the
+  // wait below); ApplyIncoming drops the image if one follows it.
+  std::uint32_t diff_flushes_at_request;
+  {
+    SpinLockGuard guard(pl.lock);
+    // 2LS: before fetching, shoot down concurrent local writers and flush,
+    // so the incoming image can simply overwrite the frame (Section 2.6).
+    if (IsShootdown() && pl.twin_valid) {
+      ShootdownLocalWriters(ctx, pl, page);
+    }
+    diff_flushes_at_request = pl.diff_flushes;
+  }
+
   // Async mode: this unit may have published diffs for the page that its
   // cache agent has not applied to the master copy yet. Reading the master
   // before our own writes land would lose them — same-unit visibility is
@@ -439,24 +451,7 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
   // wait for the agent first. Safe to spin here: the agent takes no page
   // locks and this path holds none.
   if (deps_.coh != nullptr) {
-    Backoff pending;
-    while (pl.pending_flush.load(std::memory_order_acquire) != 0) {
-      if (deps_.msg->HasPending(ctx.unit())) {
-        deps_.msg->Poll(ctx.unit());
-        pending.Reset();
-      } else {
-        pending.Pause();
-      }
-    }
-  }
-
-  // 2LS: before fetching, shoot down concurrent local writers and flush,
-  // so the incoming image can simply overwrite the frame (Section 2.6).
-  if (IsShootdown()) {
-    SpinLockGuard guard(pl.lock);
-    if (pl.twin_valid) {
-      ShootdownLocalWriters(ctx, pl, page);
-    }
+    ServeWhile(ctx, [&] { return pl.pending_flush.load(std::memory_order_acquire) != 0; });
   }
 
   // Authoritative lookup: a cached "no holder" here could miss a claim
@@ -464,7 +459,7 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
   // invisible (no write notices in exclusive mode), so re-read the entry.
   const UnitId holder = deps_.dir->ExclusiveHolderFresh(page, ctx.unit());
   if (holder >= 0 && holder != ctx.unit()) {
-    BreakRemoteExclusive(ctx, pl, page, holder);
+    BreakRemoteExclusive(ctx, pl, page, holder, diff_flushes_at_request);
     if (UnitAtMaster(ctx.unit(), page)) {
       return;  // the holder's flush refreshed our (master) frame
     }
@@ -518,9 +513,8 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
   {
     // Serialize the merge against concurrent local flushes (see above).
     SpinLockGuard guard(pl.lock);
-    ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/false);
-    pl.update_ts.store(fetch_start_ts, std::memory_order_release);
-    pl.ever_valid = true;
+    ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/false, fetch_start_ts,
+                  diff_flushes_at_request);
   }
 }
 
@@ -538,35 +532,6 @@ void CashmereProtocol::EnsureTwin(Context& ctx, PageLocal& pl, PageId page) {
     ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
                        CostModel::UsToNs(cfg_.costs.twin_us));
   }
-}
-
-std::size_t CashmereProtocol::FlushOutgoingDiffRuns(Context& ctx, PageLocal& pl, PageId page,
-                                                    bool flush_update, bool replay_now) {
-  DiffBuffer& buf = ctx.diff_scratch();
-  DiffScanStats scan;
-  EncodeOutgoingDiff(WorkingPtr(ctx.unit(), page), TwinPtr(ctx.unit(), page), flush_update,
-                     buf, &scan);
-  // Ship the encoded runs through the wire format: serialize headers +
-  // payload into this processor's transmit buffer, then replay the runs
-  // into the home node's master copy as MC remote writes. Traffic is
-  // byte-identical to writing each run straight out of the DiffBuffer.
-  // The async publish path defers the replay: the serialized image travels
-  // in the log record and the unit's cache agent replays it (booking
-  // kDiffRunApplyBytes on its own Stats, folded into the run totals).
-  DiffWireSlot& slot = deps_.msg->DiffSlotOf(ctx.proc());
-  SerializeDiffRuns(page, buf, slot);
-  if (replay_now) {
-    const std::size_t applied = ReplayDiffWire(slot, *deps_.hub, MasterPtr(page));
-    ctx.stats().Add(Counter::kDiffRunApplyBytes, applied);
-  }
-  ctx.stats().Add(Counter::kDiffBlocksScanned, scan.blocks_scanned);
-  ctx.stats().Add(Counter::kDiffRunsEmitted, scan.runs);
-  ctx.stats().Add(Counter::kDiffRunBytes, scan.run_bytes);
-  if (TraceActive()) {
-    TraceEmit(EventKind::kDiffEncode, page, NextTraceSeq(pl),
-              static_cast<std::uint32_t>(scan.runs), buf.words());
-  }
-  return buf.words();
 }
 
 void CashmereProtocol::ShootdownLocalWriters(Context& ctx, PageLocal& pl, PageId page) {
@@ -595,15 +560,11 @@ void CashmereProtocol::ShootdownLocalWriters(Context& ctx, PageLocal& pl, PageId
   // visited, losing the write.
   CommitPermBatch(ctx);
   if (pl.twin_valid && !UnitAtMaster(ctx.unit(), page)) {
-    const std::size_t words = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/false);
-    deps_.hub->ReserveBus(ctx.clock().now(), words * kWordBytes);
+    // The twin is discarded below, so a plain diff suffices (no flush-update).
+    CoherenceRecord& rec = ctx.release_record();
+    EncodeRelease(ctx, pl, page, /*flush_update=*/false, rec);
     pl.flush_ts.store(us.Tick(), std::memory_order_release);
-    ctx.stats().Add(Counter::kPageFlushes);
-    const bool home_local =
-        cfg_.NodeOfProc(cfg_.FirstProcOfUnit(deps_.homes->HomeOfPage(page))) == ctx.node();
-    ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                       cfg_.costs.DiffOutNs(words, home_local));
-    SendWriteNotices(ctx, page);
+    Propagate(ctx.unit(), rec, ctx.clock(), ctx.stats());
   }
   SetTwinTraced(pl, page, false);
   pl.dirty_mask = 0;
@@ -648,6 +609,16 @@ void CashmereProtocol::EnterExclusiveOrShare(Context& ctx, PageLocal& pl, PageId
         conflict = true;
         break;
       }
+    }
+    // Checked after the snapshot, so it covers every notice posted by a
+    // unit the snapshot shows gone: a releaser posts before it leaves. A
+    // notice that has not reached this copy means it may miss words
+    // another unit flushed, and an exclusive holder later ships and
+    // flushes its whole copy, stale words included. Take the shared path:
+    // the diff carries only this unit's words, and the notice invalidates
+    // the copy at the next acquire.
+    if (!conflict && deps_.notices->MayHoldGlobalNotice(ctx.unit(), page)) {
+      conflict = true;
     }
     if (!conflict) {
       pl.exclusive = true;
@@ -735,9 +706,9 @@ void CashmereProtocol::OnFault(Context& ctx, PageId page, bool is_write) {
 // ---------------------------------------------------------------------------
 // Releases (Section 2.4.3)
 
-std::uint32_t CashmereProtocol::WriteNoticeTargets(Context& ctx, PageId page) {
+std::uint32_t CashmereProtocol::WriteNoticeTargets(UnitId unit, PageId page) {
   UnitId sharers[kMaxProcs];
-  const int n = deps_.dir->Sharers(page, ctx.unit(), sharers);
+  const int n = deps_.dir->Sharers(page, unit, sharers);
   std::uint32_t mask = 0;
   for (int i = 0; i < n; ++i) {
     const UnitId u = sharers[i];
@@ -749,72 +720,120 @@ std::uint32_t CashmereProtocol::WriteNoticeTargets(Context& ctx, PageId page) {
   return mask;
 }
 
-void CashmereProtocol::SendWriteNotices(Context& ctx, PageId page) {
-  const std::uint32_t targets = WriteNoticeTargets(ctx, page);
+void CashmereProtocol::EncodeRelease(Context& ctx, PageLocal& pl, PageId page,
+                                     bool flush_update, CoherenceRecord& rec) {
+  rec.page = page;
+  rec.has_diff = !UnitAtMaster(ctx.unit(), page) && pl.twin_valid;
+  rec.words = 0;
+  if (rec.has_diff) {
+    DiffBuffer& buf = ctx.diff_scratch();
+    DiffScanStats scan;
+    EncodeOutgoingDiff(WorkingPtr(ctx.unit(), page), TwinPtr(ctx.unit(), page), flush_update,
+                       buf, &scan);
+    // Serialize headers + payload into the record's wire image; Propagate
+    // replays the runs into the home node's master copy. Traffic is
+    // byte-identical to writing each run straight out of the DiffBuffer.
+    SerializeDiffRuns(page, buf, rec.slot);
+    rec.words = static_cast<std::uint32_t>(buf.words());
+    ++pl.diff_flushes;
+    ctx.stats().Add(Counter::kPageFlushes);
+    if (flush_update) {
+      ctx.stats().Add(Counter::kFlushUpdates);
+    }
+    ctx.stats().Add(Counter::kDiffBlocksScanned, scan.blocks_scanned);
+    ctx.stats().Add(Counter::kDiffRunsEmitted, scan.runs);
+    ctx.stats().Add(Counter::kDiffRunBytes, scan.run_bytes);
+    if (TraceActive()) {
+      TraceEmit(EventKind::kDiffEncode, page, NextTraceSeq(pl),
+                static_cast<std::uint32_t>(scan.runs), buf.words());
+    }
+  }
+  rec.home_local =
+      cfg_.NodeOfProc(cfg_.FirstProcOfUnit(deps_.homes->HomeOfPage(page))) == ctx.node();
+}
+
+void CashmereProtocol::Propagate(UnitId unit, const CoherenceRecord& rec, VirtualClock& clock,
+                                 Stats& stats) {
+  const PageId page = rec.page;
+  if (rec.has_diff) {
+    const std::size_t applied = ReplayDiffWire(rec.slot, *deps_.hub, MasterPtr(page));
+    stats.Add(Counter::kDiffRunApplyBytes, applied);
+    // The flusher is write-buffered and does not stall, but the diff
+    // occupies the serial MC: later transfers queue behind it.
+    deps_.hub->ReserveBus(clock.now(), std::size_t{rec.words} * kWordBytes);
+    if (IsWriteDouble()) {
+      // Cashmere-1L: modifications were (conceptually) written through as
+      // they happened; charge the per-word doubling cost instead of the
+      // diff cost.
+      const double per_word = rec.home_local ? cfg_.costs.write_double_word_home_us
+                                             : cfg_.costs.write_double_word_us;
+      clock.Charge(stats, TimeCategory::kWriteDoubling,
+                   CostModel::UsToNs(per_word * static_cast<double>(rec.words)));
+    } else {
+      clock.Charge(stats, TimeCategory::kProtocol,
+                   cfg_.costs.DiffOutNs(rec.words, rec.home_local));
+    }
+  }
+  // Both policies read the sharing set only now that the diff is in the
+  // master copy: a unit joining it later fetches the new data, one that
+  // joined earlier gets a notice. A set read before the replay (say, at
+  // publish) would miss a unit that joins in between and whose fetch the
+  // home serves before the replay lands: its copy would lack this diff
+  // and no notice would ever tell it so.
+  const std::uint32_t targets = WriteNoticeTargets(unit, page);
   int sent = 0;
   for (int u = 0; u < cfg_.units(); ++u) {
     if ((targets & (1u << u)) == 0) {
       continue;
     }
     if (IsGlobalLock()) {
-      ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                         CostModel::UsToNs(cfg_.costs.dir_lock_us));
+      clock.Charge(stats, TimeCategory::kProtocol, CostModel::UsToNs(cfg_.costs.dir_lock_us));
     }
-    deps_.notices->PostGlobal(static_cast<UnitId>(u), ctx.unit(), page);
+    deps_.notices->PostGlobal(static_cast<UnitId>(u), unit, page);
     if (TraceActive()) {
       TraceEmit(EventKind::kWnPost, page, 0, static_cast<std::uint32_t>(u), 0);
     }
     ++sent;
   }
   if (sent > 0) {
-    ctx.stats().Add(Counter::kWriteNotices, static_cast<std::uint64_t>(sent));
-    ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                       CostModel::UsToNs(cfg_.costs.mc_write_latency_us));
+    stats.Add(Counter::kWriteNotices, static_cast<std::uint64_t>(sent));
+    clock.Charge(stats, TimeCategory::kProtocol,
+                 CostModel::UsToNs(cfg_.costs.mc_write_latency_us));
   }
 }
 
-void CashmereProtocol::PublishCoherenceRecord(Context& ctx, PageLocal& pl, PageId page) {
-  const bool has_diff = !UnitAtMaster(ctx.unit(), page) && pl.twin_valid;
-  std::size_t words = 0;
-  if (has_diff) {
-    words = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/true,
-                                  /*replay_now=*/false);
-    ctx.stats().Add(Counter::kPageFlushes);
-    ctx.stats().Add(Counter::kFlushUpdates);
-  }
-  const std::uint32_t targets = WriteNoticeTargets(ctx, page);
-  if (!has_diff && targets == 0) {
-    return;  // nothing to propagate: no record, no agent work
+void CashmereProtocol::PublishCoherenceRecord(Context& ctx, PageLocal& pl,
+                                              CoherenceRecord& rec) {
+  if (!rec.has_diff && WriteNoticeTargets(ctx.unit(), rec.page) == 0) {
+    // Nothing to propagate: no record, no agent work. A unit joining the
+    // sharing set from here on fetches a master copy that already holds
+    // these writes (no diff: they were made at the master).
+    return;
   }
   // The releaser pays only the local publish cost; the diff replay, the MC
   // bus occupancy, and the write-notice latency all move to the cache
   // agent (AgentApply), off the release's critical path.
   ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
                      CostModel::UsToNs(cfg_.costs.log_publish_us));
-  const bool home_local =
-      cfg_.NodeOfProc(cfg_.FirstProcOfUnit(deps_.homes->HomeOfPage(page))) == ctx.node();
-  const DiffWireSlot& slot = deps_.msg->DiffSlotOf(ctx.proc());
   bool stalled = false;
   const std::uint64_t seq = deps_.coh->LogOf(ctx.unit()).Publish(
-      [&](CoherenceRecord& rec) {
-        rec.page = page;
-        rec.publisher = ctx.proc();
-        rec.publish_vt = ctx.clock().now();
-        rec.words = static_cast<std::uint32_t>(words);
-        rec.wn_targets = targets;
-        rec.has_diff = has_diff;
-        rec.home_local = home_local;
-        if (has_diff) {
-          rec.slot.page = slot.page;
-          rec.slot.nruns = slot.nruns;
-          rec.slot.nwords = slot.nwords;
-          // Copy only the used wire prefix (headers + payload): the record
-          // must carry its own image because the per-processor transmit
-          // slot is reused by the publisher's next flush.
+      [&](CoherenceRecord& out) {
+        out.page = rec.page;
+        out.publish_vt = ctx.clock().now();
+        out.words = rec.words;
+        out.has_diff = rec.has_diff;
+        out.home_local = rec.home_local;
+        if (rec.has_diff) {
+          out.slot.page = rec.slot.page;
+          out.slot.nruns = rec.slot.nruns;
+          out.slot.nwords = rec.slot.nwords;
+          // Copy only the used wire prefix (headers + payload): the log
+          // entry must carry its own image because the releaser's record
+          // is reused by its next flush.
           // csm-lint: allow(raw-page-copy) -- wire-format bytes between two
           // protocol-owned scratch buffers, not a page frame copy
-          std::memcpy(rec.slot.wire, slot.wire,
-                      slot.nruns * kDiffRunHeaderBytes + slot.nwords * kWordBytes);
+          std::memcpy(out.slot.wire, rec.slot.wire,
+                      rec.slot.nruns * kDiffRunHeaderBytes + rec.slot.nwords * kWordBytes);
         }
       },
       &stalled);
@@ -823,13 +842,14 @@ void CashmereProtocol::PublishCoherenceRecord(Context& ctx, PageLocal& pl, PageI
   // sequence lands in the publisher's own seen_seq so sync objects can
   // propagate the dependency to later acquirers.
   pl.pending_flush.fetch_add(1, std::memory_order_acq_rel);
+  pl.last_publish_seq = seq;
   ctx.seen_seq()[ctx.unit()] = seq;
   ctx.stats().Add(Counter::kCohLogPublishes);
   if (stalled) {
     ctx.stats().Add(Counter::kCohLogPublishStalls);
   }
   if (TraceActive()) {
-    TraceEmit(EventKind::kCohPublish, page, 0, static_cast<std::uint32_t>(ctx.unit()),
+    TraceEmit(EventKind::kCohPublish, rec.page, 0, static_cast<std::uint32_t>(ctx.unit()),
               seq);
   }
 }
@@ -850,6 +870,10 @@ void CashmereProtocol::FlushPage(Context& ctx, PageLocal& pl, PageId page,
   // Skip rule: if a flush of this page began after this release began, that
   // flush already covered our modifications (a diff covers the whole page).
   if (pl.flush_ts.load(std::memory_order_acquire) > release_start) {
+    // In async mode that flush may still be in this unit's log: this
+    // release must not be observed before the covering record applies.
+    std::uint64_t& own_seq = ctx.seen_seq()[ctx.unit()];
+    own_seq = std::max(own_seq, pl.last_publish_seq);
     pl.dirty_mask &= static_cast<std::uint8_t>(~Bit(li));
     if (pl.PermOfLocal(li) == Perm::kReadWrite) {
       ProtectLocal(ctx, pl, ctx.unit(), li, page, Perm::kRead);
@@ -879,43 +903,18 @@ void CashmereProtocol::FlushPage(Context& ctx, PageLocal& pl, PageId page,
 
   pl.flush_ts.store(us.Tick(), std::memory_order_release);
 
-  if (deps_.coh != nullptr && !IsShootdown() && !IsWriteDouble()) {
-    // Async release path: serialize the diff + write-notice targets into
-    // the unit's CoherenceLog; the cache agent replays and posts off the
-    // critical path. Shootdown (2LS) and write-doubling (1L) keep the
-    // synchronous path — their flush semantics are inherently tied to the
-    // releasing processor.
-    PublishCoherenceRecord(ctx, pl, page);
+  if (IsShootdown() && pl.twin_valid && !UnitAtMaster(ctx.unit(), page)) {
+    ShootdownLocalWriters(ctx, pl, page);  // flushes, notifies, discards the twin
   } else {
-    if (!UnitAtMaster(ctx.unit(), page) && pl.twin_valid) {
-      if (IsShootdown()) {
-        ShootdownLocalWriters(ctx, pl, page);  // flushes + discards the twin
-      } else {
-        // Flush-update: write local modifications to both the home node and
-        // the twin, so overlapping releases skip redundant work (Section 2.5).
-        const std::size_t words = FlushOutgoingDiffRuns(ctx, pl, page, /*flush_update=*/true);
-        // The flusher is write-buffered and does not stall, but the diff
-        // occupies the serial MC: later transfers queue behind it.
-        deps_.hub->ReserveBus(ctx.clock().now(), words * kWordBytes);
-        ctx.stats().Add(Counter::kPageFlushes);
-        ctx.stats().Add(Counter::kFlushUpdates);
-        const bool home_local =
-            cfg_.NodeOfProc(cfg_.FirstProcOfUnit(deps_.homes->HomeOfPage(page))) == ctx.node();
-        if (IsWriteDouble()) {
-          // Cashmere-1L: modifications were (conceptually) written through as
-          // they happened; charge the per-word doubling cost instead of the
-          // diff cost.
-          const double per_word = home_local ? cfg_.costs.write_double_word_home_us
-                                             : cfg_.costs.write_double_word_us;
-          ctx.clock().Charge(ctx.stats(), TimeCategory::kWriteDoubling,
-                             CostModel::UsToNs(per_word * static_cast<double>(words)));
-        } else {
-          ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                             cfg_.costs.DiffOutNs(words, home_local));
-        }
-      }
+    // Flush-update: write local modifications to both the home node and the
+    // twin, so overlapping releases skip redundant work (Section 2.5).
+    CoherenceRecord& rec = ctx.release_record();
+    EncodeRelease(ctx, pl, page, /*flush_update=*/true, rec);
+    if (deps_.coh != nullptr) {
+      PublishCoherenceRecord(ctx, pl, rec);  // the cache agent propagates
+    } else {
+      Propagate(ctx.unit(), rec, ctx.clock(), ctx.stats());
     }
-    SendWriteNotices(ctx, page);
   }
   pl.dirty_mask = 0;
   if (pl.PermOfLocal(li) == Perm::kReadWrite) {
@@ -968,46 +967,16 @@ void CashmereProtocol::ReleaseSync(Context& ctx, bool barrier_arrival) {
 
 void CashmereProtocol::AgentApply(UnitId unit, const CoherenceRecord& rec,
                                   VirtualClock& clock, Stats& stats) {
-  const PageId page = rec.page;
-  if (rec.has_diff) {
-    const std::size_t applied = ReplayDiffWire(rec.slot, *deps_.hub, MasterPtr(page));
-    stats.Add(Counter::kDiffRunApplyBytes, applied);
-    // The apply occupies the serial MC exactly as the synchronous flush
-    // would have: later transfers queue behind it.
-    deps_.hub->ReserveBus(clock.now(), std::size_t{rec.words} * kWordBytes);
-    clock.Charge(stats, TimeCategory::kProtocol,
-                 cfg_.costs.DiffOutNs(rec.words, rec.home_local));
-  }
-  int sent = 0;
-  for (int u = 0; u < cfg_.units(); ++u) {
-    if ((rec.wn_targets & (1u << u)) == 0) {
-      continue;
-    }
-    if (IsGlobalLock()) {
-      clock.Charge(stats, TimeCategory::kProtocol,
-                   CostModel::UsToNs(cfg_.costs.dir_lock_us));
-    }
-    deps_.notices->PostGlobal(static_cast<UnitId>(u), unit, page);
-    if (TraceActive()) {
-      TraceEmit(EventKind::kWnPost, page, 0, static_cast<std::uint32_t>(u), 0);
-    }
-    ++sent;
-  }
-  if (sent > 0) {
-    stats.Add(Counter::kWriteNotices, static_cast<std::uint64_t>(sent));
-    clock.Charge(stats, TimeCategory::kProtocol,
-                 CostModel::UsToNs(cfg_.costs.mc_write_latency_us));
-  }
+  Propagate(unit, rec, clock, stats);
   // Decrement only after the master replay and the notice posts: a local
   // fetch spinning on pending_flush must observe the applied diff, and a
   // gated acquirer that observes the advanced applied_seq (PopApplied,
   // called by the agent loop after this returns) must find the notices
   // already posted.
-  Unit(unit).Page(page).pending_flush.fetch_sub(1, std::memory_order_acq_rel);
+  Unit(unit).Page(rec.page).pending_flush.fetch_sub(1, std::memory_order_acq_rel);
   stats.Add(Counter::kCohLogApplies);
   if (TraceActive()) {
-    TraceEmit(EventKind::kCohApply, page, 0, static_cast<std::uint32_t>(unit),
-              rec.seq);
+    TraceEmit(EventKind::kCohApply, rec.page, 0, static_cast<std::uint32_t>(unit), rec.seq);
   }
 }
 
@@ -1032,18 +1001,10 @@ void CashmereProtocol::GateOnAppliedSeq(Context& ctx) {
         TraceEmit(EventKind::kCohGate, kNoTracePage, 0,
                   static_cast<std::uint32_t>(u), want);
       }
-      Backoff backoff;
-      while (log.applied_seq() < want) {
-        // The agent itself never blocks on us (it takes no locks and sends
-        // no requests), but remote releasers feeding its log may — keep
-        // servicing our unit's incoming requests while we wait.
-        if (deps_.msg->HasPending(ctx.unit())) {
-          deps_.msg->Poll(ctx.unit());
-          backoff.Reset();
-        } else {
-          backoff.Pause();
-        }
-      }
+      // The agent itself never blocks on us (it takes no locks and sends
+      // no requests), but remote releasers feeding its log may — keep
+      // servicing our unit's incoming requests while we wait.
+      ServeWhile(ctx, [&] { return log.applied_seq() < want; });
     }
     const VirtTime applied_vt = log.AppliedVtOf(want);
     if (applied_vt > gate_vt) {
@@ -1159,16 +1120,8 @@ void CashmereProtocol::FinalFlush(Context& ctx) {
   // (belt and braces — e.g. an app whose last release raced the barrier):
   // the quiesce below reads master frames the agent may still write.
   if (deps_.coh != nullptr) {
-    Backoff backoff;
     const CoherenceLog& log = deps_.coh->LogOf(ctx.unit());
-    while (!log.Empty()) {
-      if (deps_.msg->HasPending(ctx.unit())) {
-        deps_.msg->Poll(ctx.unit());
-        backoff.Reset();
-      } else {
-        backoff.Pause();
-      }
-    }
+    ServeWhile(ctx, [&] { return !log.Empty(); });
   }
   for (PageId page = 0; page < cfg_.pages(); ++page) {
     PageLocal& pl = us.Page(page);
@@ -1266,6 +1219,7 @@ void CashmereProtocol::RelocateSuperpage(Context& ctx, std::size_t sp, UnitId ne
   for (PageId page = first; page < last; ++page) {
     PageLocal& opl = old_us.Page(page);
     SpinLockGuard old_guard(opl.lock);
+    const bool old_home_maps = opl.Loosest(cfg_.procs_per_unit()) != Perm::kInvalid;
     // Quiesce the old home: downgrade its writers so future modifications
     // are tracked like any non-home unit's.
     for (int li = 0; li < cfg_.procs_per_unit(); ++li) {
@@ -1302,9 +1256,15 @@ void CashmereProtocol::RelocateSuperpage(Context& ctx, std::size_t sp, UnitId ne
                 static_cast<std::uint32_t>(new_home),
                 static_cast<std::uint64_t>(old_home));
     }
-    // The old home's frame still holds the current data.
-    opl.ever_valid = true;
-    opl.update_ts.store(old_us.Tick(), std::memory_order_release);
+    // The old home's frame still holds the current data, but it stays
+    // current only for a unit in the sharing set: write notices reach no
+    // one else, and an exclusive claim at the new home is blind to a copy
+    // the directory does not list. An old home with no mapping must fetch
+    // on its next access.
+    opl.ever_valid = old_home_maps;
+    if (old_home_maps) {
+      opl.update_ts.store(old_us.Tick(), std::memory_order_release);
+    }
     ctx.stats().Add(Counter::kHomeRelocations);
   }
   deps_.homes->Relocate(sp, new_home);

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "cashmere/common/config.hpp"
+#include "cashmere/common/spin.hpp"
 #include "cashmere/common/thread_safety.hpp"
 #include "cashmere/common/types.hpp"
 #include "cashmere/mc/hub.hpp"
@@ -100,12 +101,11 @@ class CashmereProtocol : public RequestHandler {
   // results can be read out. Called once per unit after a full barrier.
   void FinalFlush(Context& ctx);
 
-  // Async release-path coherence: applies one published log record on the
-  // cache-agent thread of `unit` — replays the record's serialized diff
-  // into the home node's master copy, posts the recorded write notices,
-  // and decrements the page's pending-flush count. The caller (the agent
-  // loop in Runtime::Run) advances `clock` to the record's publish time
-  // first and calls CoherenceLog::PopApplied afterwards, in that order, so
+  // Async drain policy: applies one published log record on the
+  // cache-agent thread of `unit` — Propagate, then decrements the page's
+  // pending-flush count. The caller (the agent loop in Runtime::Run)
+  // advances `clock` to the record's publish time first and calls
+  // CoherenceLog::PopApplied afterwards, in that order, so
   // a gated acquirer that observes the advanced applied_seq also observes
   // the applied diff and the posted notices. Takes no page locks (see
   // docs/concurrency.md: publishers may spin on a full ring while holding
@@ -127,15 +127,37 @@ class CashmereProtocol : public RequestHandler {
   // Takes the page lock internally (fetch_in_progress is set, so this
   // processor is the page's only fetcher); must not be entered holding it.
   void FetchPage(Context& ctx, PageLocal& pl, PageId page) CSM_EXCLUDES(pl.lock);
+  // Installs a fetched image and stamps the copy valid as of
+  // `fetch_start_ts`. Installs nothing if a local diff flush happened since
+  // the request (`pl.diff_flushes` moved past `diff_flushes_at_request`):
+  // the copy stays stale and the fault refetches.
   // `piggyback` distinguishes images piggybacked on a break-exclusive reply
   // from home fetches; the replay checker exempts piggybacks from the
   // write-notice-before-diff invariant.
   void ApplyIncoming(Context& ctx, PageLocal& pl, PageId page, const std::byte* image,
-                     bool piggyback) CSM_REQUIRES(pl.lock);
-  void BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId page, UnitId holder)
-      CSM_EXCLUDES(pl.lock);
+                     bool piggyback, std::uint64_t fetch_start_ts,
+                     std::uint32_t diff_flushes_at_request) CSM_REQUIRES(pl.lock);
+  void BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId page, UnitId holder,
+                            std::uint32_t diff_flushes_at_request) CSM_EXCLUDES(pl.lock);
   void WaitFetchDone(Context& ctx, PageLocal& pl) CSM_EXCLUDES(pl.lock);
   std::uint64_t AwaitReply(Context& ctx, std::uint64_t seq);
+  // Spins while `pred()` holds, servicing this unit's incoming requests
+  // between checks, as the paper's polling instrumentation does: this is
+  // what keeps two mutually-waiting units from deadlocking. Never call it
+  // holding a page lock. A template, not std::function, because the fault
+  // path never allocates.
+  template <typename Pred>
+  void ServeWhile(Context& ctx, Pred pred) {
+    Backoff backoff;
+    while (pred()) {
+      if (deps_.msg->HasPending(ctx.unit())) {
+        deps_.msg->Poll(ctx.unit());
+        backoff.Reset();
+      } else {
+        backoff.Pause();
+      }
+    }
+  }
 
   // Write-fault helpers (page lock held).
   void EnterExclusiveOrShare(Context& ctx, PageLocal& pl, PageId page)
@@ -151,20 +173,30 @@ class CashmereProtocol : public RequestHandler {
   // Release machinery.
   void FlushPage(Context& ctx, PageLocal& pl, PageId page, std::uint64_t release_start,
                  bool barrier_arrival) CSM_EXCLUDES(pl.lock);
-  void SendWriteNotices(Context& ctx, PageId page);
-  // Units (bitmask) a release of `page` must notify: the directory's
-  // sharing set minus master-sharing units. In async mode this is read at
-  // publish time, under the page lock — the same point of the release at
-  // which the synchronous path reads it — so the write-notice sets (and
-  // the kWriteNotices counters) are identical across modes.
-  std::uint32_t WriteNoticeTargets(Context& ctx, PageId page);
-  // Async release path (Config::async.release): serializes the page's
-  // outgoing diff and write-notice target set into the unit's CoherenceLog
-  // instead of replaying synchronously, bumps the page's pending-flush
-  // count, records the new sequence in ctx.seen_seq(), and charges only
-  // the publish cost — the diff replay, bus occupancy, and write-notice
-  // latency move to the cache agent (AgentApply).
-  void PublishCoherenceRecord(Context& ctx, PageLocal& pl, PageId page)
+  // Units (bitmask) a release of `page` by `unit` must notify: the
+  // directory's sharing set minus master-sharing units.
+  std::uint32_t WriteNoticeTargets(UnitId unit, PageId page);
+  // The releaser's half of every release flush (page lock held): when the
+  // unit holds a twin away from the master copy, block-scans working-vs-
+  // twin and serializes the RLE runs into `rec.slot`; records the payload
+  // words and the home's locality either way.
+  void EncodeRelease(Context& ctx, PageLocal& pl, PageId page, bool flush_update,
+                     CoherenceRecord& rec) CSM_REQUIRES(pl.lock);
+  // The one place a release's global side effects happen: replays the
+  // record's diff into the home node's master copy (kDiffRunApplyBytes),
+  // occupies the serial MC bus for its payload, charges the diff cost (the
+  // write-doubling cost under 1L), and posts the write notices from `unit`.
+  // Runs on the releaser (synchronous policy) or on `unit`'s cache agent
+  // (AgentApply); either way it reads the write-notice targets after the
+  // replay, and charges `clock`/`stats` of whichever runs it. Takes no
+  // page locks.
+  void Propagate(UnitId unit, const CoherenceRecord& rec, VirtualClock& clock, Stats& stats);
+  // Async drain policy (Config::async.release): unless there is nothing to
+  // propagate (no diff and no sharer to notify), copies `rec` into the
+  // unit's CoherenceLog, bumps the page's pending-flush count, records the
+  // new sequence in the page and in ctx.seen_seq(), and charges only the
+  // publish cost: Propagate's costs land on the cache agent (AgentApply).
+  void PublishCoherenceRecord(Context& ctx, PageLocal& pl, CoherenceRecord& rec)
       CSM_REQUIRES(pl.lock);
   // Happens-before gate at the top of AcquireSync (async mode): waits
   // until every unit whose releases precede this acquire (per
@@ -174,18 +206,6 @@ class CashmereProtocol : public RequestHandler {
   // predecessors — never on unrelated in-flight traffic. No-op in
   // synchronous mode.
   void GateOnAppliedSeq(Context& ctx);
-  // Block-scans working-vs-twin, serializes the RLE runs into the
-  // flusher's wire buffer in the message layer, and — when `replay_now` —
-  // replays them into the home node's master copy as MC remote writes.
-  // The async publish path passes replay_now = false: the serialized image
-  // is copied into the log record and the unit's cache agent performs the
-  // replay (and books kDiffRunApplyBytes) when it applies the record. `pl`
-  // is the page's state on ctx's unit; its lock is held by the caller.
-  // Returns the modified words, which drive the DiffOut virtual-time
-  // charge; the diff occupies the serial MC bus for their payload bytes.
-  std::size_t FlushOutgoingDiffRuns(Context& ctx, PageLocal& pl, PageId page,
-                                    bool flush_update, bool replay_now = true)
-      CSM_REQUIRES(pl.lock);
 
   // Directory helpers (charge costs, honour the global-lock ablation).
   void UpdateDirWord(Context& ctx, PageId page, DirWord word);

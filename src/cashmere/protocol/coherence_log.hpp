@@ -1,14 +1,25 @@
-// Asynchronous release-path coherence (DESIGN.md §12).
+// Release-path coherence records and the asynchronous drain (DESIGN.md §12).
 //
-// In the synchronous protocol every release replays outgoing diffs into the
-// home node's master copy and posts write notices on the releaser's critical
-// path. With Config::async.release on, the releaser instead publishes a
-// compact log record — the serialized DiffWireSlot image, the write-notice
-// target set, and the releaser's clocks — into its unit's bounded MPSC
-// CoherenceLog. A per-unit background cache-agent thread drains the log in
-// sequence order, applies each diff via the existing DiffWireSlot replay,
-// posts the write notices, and advances the log's applied sequence number
-// (the per-node applied_clock of the paper's log-based design).
+// Every release flush is one CoherenceRecord: the page's serialized diff
+// (DiffWireSlot image) and its cost metadata. CashmereProtocol::EncodeRelease
+// fills it on the releaser under the page lock, and
+// CashmereProtocol::Propagate carries it out — replays the diff into the home
+// node's master copy, occupies the MC bus, charges the diff (or
+// write-doubling) cost and posts the write notices. Two drain policies run
+// that one Propagate:
+//
+//   synchronous  the releaser calls Propagate itself (2LS, 1LD, 1L and
+//                --no-async);
+//   asynchronous with Config::async.release on (2L, 2L-lock), the releaser
+//                stamps its clock into the record and publishes a copy
+//                into its unit's bounded MPSC CoherenceLog, and a per-unit
+//                background cache-agent thread drains the log in sequence
+//                order, calls Propagate, and advances the log's applied
+//                sequence number (the per-node applied_clock of the
+//                paper's log-based design).
+//
+// Either way Propagate reads the write-notice targets from the directory
+// once the diff is in the master copy.
 //
 // Acquires gate on happens-before only: sync objects carry a per-unit
 // sequence vector (the releaser's own publishes, max-folded with everything
@@ -18,8 +29,9 @@
 //
 // Lock ordering: the log's producer lock is a leaf. Publishers call Publish
 // while holding a page lock; the agent takes no page locks at all (diff
-// replay is hub word writes into the master frame, write-notice posting
-// takes only the bin producer lock), so a publisher spinning on a full ring
+// replay is hub word writes into the master frame, the sharing-set read
+// is lock-free, write-notice posting takes only the bin producer lock),
+// so a publisher spinning on a full ring
 // always drains (see docs/concurrency.md).
 #ifndef CASHMERE_PROTOCOL_COHERENCE_LOG_HPP_
 #define CASHMERE_PROTOCOL_COHERENCE_LOG_HPP_
@@ -37,17 +49,19 @@
 
 namespace cashmere {
 
-// One published release: everything the cache agent needs to finish the
-// release's global side effects off the critical path.
+// CoherenceLog ring capacity (records per unit). A full ring back-pressures
+// the publisher, which spins until the agent catches up.
+inline constexpr std::uint32_t kCoherenceLogEntries = 64;
+
+// One release flush of one page: everything Propagate needs to finish the
+// release's global side effects, on the releaser or on the cache agent.
 struct CoherenceRecord {
   PageId page = kInvalidPage;
-  ProcId publisher = -1;        // releasing processor (trace attribution)
   std::uint64_t seq = 0;        // per-log sequence, assigned by Publish
   VirtTime publish_vt = 0;      // releaser's virtual clock at publish
   std::uint32_t words = 0;      // diff payload words (DiffOutNs, bus bytes)
-  std::uint32_t wn_targets = 0; // unit bitmask to post write notices to
   bool has_diff = false;        // false: write-notice-only record
-  bool home_local = false;      // home on the releasing unit (1L variants)
+  bool home_local = false;      // home on the releaser's node (cost choice)
   DiffWireSlot slot;            // serialized diff image (used prefix valid)
 };
 

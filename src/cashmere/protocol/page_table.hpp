@@ -69,6 +69,15 @@ struct PageLocal {
   // unit must stay in the page's sharing set so no other unit claims
   // exclusive mode over the pending flush.
   std::atomic<std::uint32_t> pending_flush{0};
+  // Number of this unit's flushes of the page that carried a diff. A fetch
+  // samples it when it sends the request and drops an image that arrives
+  // after it moved: the image may predate that diff.
+  std::uint32_t diff_flushes CSM_GUARDED_BY(lock) = 0;
+  // Log sequence of this unit's latest published record for the page
+  // (async mode). A release whose flush is skipped because another local
+  // flush covered its modifications carries this sequence instead of one
+  // of its own, so its acquirers still gate on the covering record.
+  std::uint64_t last_publish_seq CSM_GUARDED_BY(lock) = 0;
   // Trace-only transition sequence: bumped (under the page lock) for every
   // traced per-page protocol transition, giving the replay invariant
   // checker a total order over one page's transitions that does not depend

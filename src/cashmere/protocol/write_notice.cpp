@@ -61,6 +61,19 @@ bool WriteNoticeBoard::GlobalPending(UnitId self) const {
   return false;
 }
 
+bool WriteNoticeBoard::MayHoldGlobalNotice(UnitId self, PageId page) const {
+  for (int src = 0; src < units_; ++src) {
+    if (src != self && GlobalBin(self, src).Pending(page)) {
+      return true;
+    }
+  }
+  // Read after the bits: a drainer that cleared this page's bit had
+  // already raised the count, and cannot lower it before it stamps the
+  // page, which needs the page lock the caller holds.
+  return consumer_locks_[static_cast<std::size_t>(self)].draining.load(
+             std::memory_order_acquire) != 0;
+}
+
 void WriteNoticeBoard::PostLocal(ProcId proc, PageId page) {
   PageNoticeQueue& q = local_[static_cast<std::size_t>(proc)];
   SpinLockGuard guard(q.producer_lock);

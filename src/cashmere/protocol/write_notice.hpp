@@ -78,6 +78,10 @@ class PageNoticeQueue {
   bool Empty() const {
     return tail_.load(std::memory_order_acquire) == head_.load(std::memory_order_acquire);
   }
+  // True while a notice for `page` is queued (posted, not yet drained).
+  bool Pending(PageId page) const {
+    return (bitmap_[page / 32].load(std::memory_order_acquire) & (1u << (page % 32))) != 0;
+  }
 
   SpinLock producer_lock;
 
@@ -110,6 +114,8 @@ class WriteNoticeBoard {
   // deduplicated notice. Caller distributes to the per-processor lists.
   template <typename Fn>
   int DrainGlobal(UnitId self, Fn&& fn) {
+    std::atomic<int>& draining = consumer_locks_[static_cast<std::size_t>(self)].draining;
+    draining.fetch_add(1, std::memory_order_acq_rel);
     int n = 0;
     for (int src = 0; src < units_; ++src) {
       if (src == self) {
@@ -119,10 +125,15 @@ class WriteNoticeBoard {
       SpinLockGuard guard(consumer_locks_[static_cast<std::size_t>(self)].lock);
       n += bin.Drain(fn);
     }
+    draining.fetch_sub(1, std::memory_order_acq_rel);
     return n;
   }
 
   bool GlobalPending(UnitId self) const;
+  // True if a notice for `page` may not have reached `self`'s page state
+  // yet: it is queued in one of self's global bins, or a drain is under
+  // way (a drain clears a page's bit before it stamps the page's wn_ts).
+  bool MayHoldGlobalNotice(UnitId self, PageId page) const;
 
   // Second level: per-processor lists.
   void PostLocal(ProcId proc, PageId page);
@@ -165,6 +176,7 @@ class WriteNoticeBoard {
 
   struct alignas(64) PaddedLock {
     SpinLock lock;
+    std::atomic<int> draining{0};  // DrainGlobal calls under way
   };
 
   int units_;

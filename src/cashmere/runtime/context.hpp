@@ -17,6 +17,7 @@
 
 namespace cashmere {
 
+struct CoherenceRecord;
 class DiffBuffer;
 class PermBatch;
 class Runtime;
@@ -92,6 +93,12 @@ class Context {
   // never allocate).
   DiffBuffer& diff_scratch() const { return *diff_scratch_; }
 
+  // Preallocated per-processor release record: a release flush encodes
+  // the page's diff here, then propagates it in place (synchronous policy)
+  // or publishes a copy into the unit's CoherenceLog (asynchronous
+  // policy). Same allocation-free discipline.
+  CoherenceRecord& release_record() const { return *release_record_; }
+
   // Preallocated per-processor permission batch (vm/perm_batch.hpp): the
   // protocol queues mprotect transitions here and commits coalesced ranges
   // at episode boundaries. Same allocation-free discipline as diff_scratch.
@@ -138,6 +145,7 @@ class Context {
   std::byte* view_base_ = nullptr;
   Runtime* runtime_ = nullptr;
   DiffBuffer* diff_scratch_ = nullptr;
+  CoherenceRecord* release_record_ = nullptr;
   PermBatch* perm_batch_ = nullptr;
   std::vector<PageId>* release_scratch_ = nullptr;
   VirtualClock clock_;

@@ -118,6 +118,11 @@ Runtime::Runtime(Config cfg, SyncShape sync, McTransport* transport)
     trace_log_ = std::make_unique<TraceLog>(rings, cfg_.trace.ring_events);
   }
 
+  // One default-initialised block: only each record's header and used wire
+  // prefix are ever written, so the rest of the ~16 KB images never
+  // becomes resident.
+  release_records_ = std::make_unique_for_overwrite<CoherenceRecord[]>(
+      static_cast<std::size_t>(cfg_.total_procs()));
   for (ProcId p = 0; p < cfg_.total_procs(); ++p) {
     contexts_.emplace_back();
     Context& ctx = contexts_.back();
@@ -130,6 +135,7 @@ Runtime::Runtime(Config cfg, SyncShape sync, McTransport* transport)
     ctx.runtime_ = this;
     diff_scratch_.push_back(std::make_unique<DiffBuffer>());
     ctx.diff_scratch_ = diff_scratch_.back().get();
+    ctx.release_record_ = &release_records_[static_cast<std::size_t>(p)];
     perm_batch_.push_back(std::make_unique<PermBatch>());
     // &ctx.stats_ is stable: contexts_ is a deque and never shrinks.
     perm_batch_.back()->Bind(&views_, &CashmereProtocol::ResolveQueuedPerm,

@@ -138,9 +138,10 @@ class Runtime : public FaultSink {
   std::unique_ptr<CashmereProtocol> protocol_;
   SharedHeap heap_;
   std::deque<Context> contexts_;
-  // Per-processor RLE diff scratch, preallocated so flush paths (including
-  // the SIGSEGV fault handler) never allocate.
+  // Per-processor RLE diff scratch and release records, preallocated so
+  // flush paths (including the SIGSEGV fault handler) never allocate.
   std::vector<std::unique_ptr<DiffBuffer>> diff_scratch_;
+  std::unique_ptr<CoherenceRecord[]> release_records_;
   // Per-processor permission batches and release page lists, preallocated
   // under the same no-allocation discipline.
   std::vector<std::unique_ptr<PermBatch>> perm_batch_;

@@ -23,10 +23,8 @@ std::uint64_t PublishPage(CoherenceLog& log, PageId page, VirtTime vt,
   return log.Publish(
       [&](CoherenceRecord& rec) {
         rec.page = page;
-        rec.publisher = 0;
         rec.publish_vt = vt;
         rec.has_diff = false;
-        rec.wn_targets = 0;
       },
       stalled);
 }
@@ -190,10 +188,10 @@ TEST(CoherenceEngineTest, OneLogPerUnit) {
   cfg.nodes = 4;
   cfg.procs_per_node = 2;
   cfg.async.release = true;
-  cfg.async.log_entries = 16;
   cfg.Validate();
   CoherenceEngine engine(cfg);
   EXPECT_EQ(engine.units(), cfg.units());
+  EXPECT_EQ(engine.LogOf(0).capacity(), kCoherenceLogEntries);
   EXPECT_TRUE(engine.AllEmpty());
   PublishPage(engine.LogOf(1), 3, 30);
   EXPECT_FALSE(engine.AllEmpty());
@@ -213,7 +211,6 @@ TEST(CoherenceEngineTest, RunDrainsLogsBeforeExit) {
   cfg.heap_bytes = 16 * kPageBytes;
   cfg.first_touch = false;
   cfg.async.release = true;
-  cfg.async.log_entries = 4;  // tiny ring: force publish stalls too
 
   Runtime rt(cfg);
   constexpr int kInts = 64;

@@ -4,6 +4,9 @@
 // exclusively-held page.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "cashmere/apps/app.hpp"
 #include "cashmere/runtime/runtime.hpp"
 
 namespace cashmere {
@@ -183,6 +186,70 @@ TEST(ExclusiveTest, WriteFaultOnExclusiveElsewhereBreaksAndShares) {
   });
   EXPECT_EQ(rt.Read<int>(a), 5);
   EXPECT_EQ(rt.Read<int>(a + 4), 6);
+}
+
+TEST(ExclusiveTest, BreakAmidLocalWritersLosesNothing) {
+  // LU at bench size, two processors per node: blocks owned by one node's
+  // processors share pages, which sit in exclusive mode while both write
+  // and are broken by the other node's reads mid-phase. The break handler
+  // must stop the holder and take the other writers' twin before it
+  // flushes the frame, or words written during the handler are lost.
+  Config cfg;
+  cfg.protocol = ProtocolVariant::kTwoLevel;
+  cfg.nodes = 2;
+  cfg.procs_per_node = 2;
+  cfg.cost.time_scale = 5.0;
+  cfg.async.release = false;
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_TRUE(RunApp(AppKind::kLu, cfg, kSizeBench).verified) << "run " << run;
+  }
+}
+
+TEST(ExclusiveTest, ClaimWaitsForPendingWriteNotice) {
+  // Unit 1 flushes word 1 and posts unit 0 a notice, then leaves the
+  // sharing set. Unit 0, with that notice still undrained, write-faults on
+  // its now stale copy: claiming exclusive mode there would later ship and
+  // flush the whole copy, putting the stale word 1 back into the master.
+  for (const ProtocolVariant v :
+       {ProtocolVariant::kTwoLevel, ProtocolVariant::kTwoLevelShootdown}) {
+    Config cfg = XConfig(3, 1, v);
+    cfg.async.release = false;
+    Runtime rt(cfg);
+    GlobalAddr a = rt.heap().AllocPageAligned(6 * kPageBytes);
+    while (rt.homes().HomeOfPage(static_cast<PageId>(a / kPageBytes)) != 2) {
+      a += kPageBytes;  // home the page on the unit that never touches it
+    }
+    std::atomic<bool> unit1_left{false};
+    rt.Run([&](Context& ctx) {
+      int* p = ctx.Ptr<int>(a);
+      if (ctx.proc() < 2) {
+        EXPECT_EQ(p[0], 0);  // units 0 and 1 share the page
+      }
+      ctx.Barrier(0);
+      if (ctx.proc() == 0) {
+        p[0] = 10;
+        ctx.FlagSet(0, 1);  // notice to unit 1
+        // Ordered after unit 1's release without acquiring it, so the
+        // notice stays in unit 0's bins.
+        while (!unit1_left.load()) {
+        }
+        p[2] = 30;  // write fault on a copy missing word 1
+      } else if (ctx.proc() == 1) {
+        p[1] = 20;
+        ctx.FlagWaitGe(0, 1);  // invalidates unit 1's own mapping
+        ctx.FlagSet(1, 1);     // flushes word 1, notice to unit 0, leaves
+        unit1_left.store(true);
+      }
+      ctx.Barrier(0);
+      if (ctx.proc() == 1) {
+        EXPECT_EQ(p[0], 10);
+        EXPECT_EQ(p[1], 20);
+        EXPECT_EQ(p[2], 30);
+      }
+      ctx.Barrier(0);
+    });
+    EXPECT_EQ(rt.Read<int>(a + 4), 20) << ProtocolVariantName(v);
+  }
 }
 
 }  // namespace

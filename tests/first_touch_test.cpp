@@ -41,6 +41,30 @@ TEST(FirstTouchTest, RelocationMovesHomeToTouchingUnit) {
   EXPECT_EQ(rt.Read<int>(a), 77);
 }
 
+TEST(FirstTouchTest, OldHomeWithoutMappingRefetches) {
+  // The old home never mapped the page, so it is not in the sharing set:
+  // once another unit has broken the new home's exclusive mode, the old
+  // home must fetch rather than map its pre-relocation frame.
+  Runtime rt(FtConfig(4, 1));
+  const GlobalAddr a = 4 * kPageBytes;  // superpage 1, homed at unit 1
+  rt.Run([&](Context& ctx) {
+    ctx.InitDone();
+    if (ctx.proc() == 3) {
+      ctx.Ptr<int>(a)[0] = 77;  // relocates to unit 3, exclusive there
+    }
+    ctx.Barrier(0);
+    if (ctx.proc() == 0) {
+      EXPECT_EQ(ctx.Ptr<int>(a)[0], 77);  // breaks unit 3's exclusive mode
+    }
+    ctx.Barrier(0);
+    if (ctx.proc() == 1) {
+      EXPECT_EQ(ctx.Ptr<int>(a)[0], 77);
+    }
+    ctx.Barrier(0);
+  });
+  EXPECT_EQ(rt.homes().HomeOfSuperpage(1), 3);
+}
+
 TEST(FirstTouchTest, TouchByDefaultHomeSealsWithoutRelocation) {
   Runtime rt(FtConfig(4, 1));
   const GlobalAddr a = 4 * kPageBytes;  // superpage 1, homed at unit 1

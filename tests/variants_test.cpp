@@ -1,6 +1,6 @@
 // Protocol-variant behavioural tests: 2LS shootdowns, 1L write-doubling
-// cost accounting, the global-lock ablation, home-node optimization, and
-// interrupt-mode delivery costs.
+// cost accounting, the global-lock ablation, home-node optimization,
+// interrupt-mode delivery costs, and release-propagation parity.
 #include <gtest/gtest.h>
 
 #include "cashmere/common/spin.hpp"
@@ -255,6 +255,59 @@ TEST(VariantsTest, InterruptDeliveryCostsMoreThanPolling) {
   const VirtTime polling = run(DeliveryMode::kPolling);
   const VirtTime interrupts = run(DeliveryMode::kInterrupt);
   EXPECT_GT(interrupts, polling);
+}
+
+// Every release flush goes through one Propagate, on the releaser or on
+// the cache agent, so each variant books one flush and one write notice
+// per release of a page with one remote sharer, in both drain policies.
+// Three nodes of one processor: the page lives in superpage 1 (home unit
+// 1), processor 0 writes it each round and processor 2 reads it, each
+// step ending at a barrier. Everyone reads the page first, so processor 0
+// never claims exclusive mode, and processor 2 is a sharer at every flush.
+TEST(VariantsTest, ReleasePropagationParity) {
+  constexpr int kRounds = 5;
+  constexpr Counter kCompared[] = {
+      Counter::kReadFaults,     Counter::kWriteFaults,       Counter::kPageTransfers,
+      Counter::kWriteNotices,   Counter::kTwinCreations,     Counter::kFlushUpdates,
+      Counter::kPageFlushes,    Counter::kDiffRunsEmitted,   Counter::kDiffRunBytes,
+      Counter::kDiffRunApplyBytes};
+  for (const ProtocolVariant v :
+       {ProtocolVariant::kTwoLevel, ProtocolVariant::kTwoLevelShootdown,
+        ProtocolVariant::kTwoLevelGlobalLock, ProtocolVariant::kOneLevelDiff,
+        ProtocolVariant::kOneLevelWriteDouble}) {
+    Stats totals[2];
+    for (const bool async : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << ProtocolVariantName(v) << " async=" << async);
+      Config cfg = VConfig(v, 3, 1);
+      cfg.async.release = async;
+      Runtime rt(cfg);
+      const GlobalAddr a = rt.heap().AllocPageAligned(8 * kPageBytes) + 4 * kPageBytes;
+      rt.Run([&](Context& ctx) {
+        int* p = ctx.Ptr<int>(a);
+        EXPECT_EQ(p[0], 0);
+        ctx.Barrier(0);
+        for (int round = 1; round <= kRounds; ++round) {
+          if (ctx.proc() == 0) {
+            p[round] = round;
+          }
+          ctx.Barrier(0);
+          if (ctx.proc() == 2) {
+            EXPECT_EQ(p[round], round);
+          }
+          ctx.Barrier(0);
+        }
+      });
+      const Stats& s = rt.report().total;
+      EXPECT_EQ(s.Get(Counter::kPageFlushes), static_cast<std::uint64_t>(kRounds));
+      EXPECT_EQ(s.Get(Counter::kWriteNotices), static_cast<std::uint64_t>(kRounds));
+      EXPECT_EQ(s.Get(Counter::kDiffRunBytes), s.Get(Counter::kDiffRunApplyBytes));
+      totals[async ? 1 : 0] = s;
+    }
+    for (const Counter c : kCompared) {
+      EXPECT_EQ(totals[0].Get(c), totals[1].Get(c))
+          << ProtocolVariantName(v) << ": " << CounterName(c);
+    }
+  }
 }
 
 }  // namespace
