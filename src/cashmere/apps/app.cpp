@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <mutex>
 
@@ -73,6 +74,18 @@ bool App::Lookup(const std::string& name, AppKind* kind) {
 const char* AppName(AppKind kind) {
   const char* name = Registry().names[static_cast<std::size_t>(kind)];
   return name != nullptr ? name : "?";
+}
+
+bool ParseSizeClass(const char* name, int* out) {
+  static constexpr const char* kNames[] = {"test", "bench", "large"};
+  static_assert(kSizeTest == 0 && kSizeBench == 1 && kSizeLarge == 2);
+  for (int c = 0; c < 3; ++c) {
+    if (std::strcmp(kNames[c], name) == 0) {
+      *out = c;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::unique_ptr<IApp> MakeApp(AppKind kind, int size_class) {
@@ -181,13 +194,8 @@ AppRunResult RunApp(AppKind kind, Config cfg, int size_class) {
   result.kind = kind;
   SequentialBaseline(kind, size_class, &result.seq_host_seconds, &result.seq_alpha_seconds,
                      &result.sequential_checksum);
-  // One transport spans the main run and the possible dilation rerun: an
-  // shm cluster bootstraps its peer processes once and reuses them (each
-  // Runtime boot resets the segment tables); teardown (kShutdown) happens
-  // when the transport destructs at the end of RunApp.
-  std::unique_ptr<McTransport> transport = MakeTransport(cfg);
   {
-    Runtime rt(cfg, app->Sync(), transport.get());
+    Runtime rt(cfg, app->Sync());
     result.parallel_checksum = app->RunParallel(rt);
     result.report = rt.report();
     result.trace = rt.TakeTraceLog();
@@ -209,20 +217,16 @@ AppRunResult RunApp(AppKind kind, Config cfg, int size_class) {
     corrected.cost.time_scale =
         base_scale / std::clamp(dilation, 0.25, 100.0);
     auto app2 = MakeApp(kind, size_class);
-    Runtime rt(corrected, app2->Sync(), transport.get());
+    Runtime rt(corrected, app2->Sync());
     result.parallel_checksum = app2->RunParallel(rt);
     result.report = rt.report();
     result.trace = rt.TakeTraceLog();  // streams of the run that counts
   }
   result.cfg = cfg;
-  result.transport_verified = transport->peers_verified();
-  result.wire_ns = transport->wire_ns();
   const double tol = app->Tolerance();
   const double diff = std::fabs(result.parallel_checksum - result.sequential_checksum);
   const double ref = std::fabs(result.sequential_checksum);
-  result.verified =
-      (tol == 0.0 ? diff == 0.0 : diff <= tol * (ref > 1.0 ? ref : 1.0)) &&
-      result.transport_verified;
+  result.verified = tol == 0.0 ? diff == 0.0 : diff <= tol * (ref > 1.0 ? ref : 1.0);
   const double exec_s = result.report.ExecTimeSec();
   result.speedup = exec_s > 0 ? result.seq_alpha_seconds / exec_s : 0.0;
   return result;

@@ -34,6 +34,9 @@ const char* AppName(AppKind kind);
 inline constexpr int kSizeTest = 0;
 inline constexpr int kSizeBench = 1;
 inline constexpr int kSizeLarge = 2;
+// Parses a size-class name ("test" | "bench" | "large") into `*out`; false
+// (out untouched) on any other name. Shared by the CLI drivers' --size flags.
+bool ParseSizeClass(const char* name, int* out);
 
 class IApp {
  public:
@@ -110,14 +113,6 @@ struct AppRunResult {
   // Event streams of the run that produced `report` (the dilation-corrected
   // rerun when one happened); non-null iff cfg.trace.enabled.
   std::shared_ptr<TraceLog> trace;
-  // Transport-level results (mc/transport.hpp). transport_verified is the
-  // shm backend's cross-process checksum handshake: false when a peer
-  // process's view of a segment disagreed with the lead's (or a peer died);
-  // always true for in-process transports. wire_ns is measured wall-clock
-  // time inside transport ops (shm only; 0 for inproc, which charges
-  // virtual time instead).
-  bool transport_verified = true;
-  std::uint64_t wire_ns = 0;
 };
 
 AppRunResult RunApp(AppKind kind, Config cfg, int size_class);

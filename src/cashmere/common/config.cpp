@@ -1,7 +1,6 @@
 #include "cashmere/common/config.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 namespace cashmere {
@@ -50,31 +49,22 @@ constexpr VariantFlag kVariantFlags[] = {
     {" home-opt", [](const Config& c) { return c.home_opt; }},
     {" interrupts", [](const Config& c) { return c.delivery == DeliveryMode::kInterrupt; }},
     {" trace", [](const Config& c) { return c.trace.enabled; }},
-    {" dir-sharded", [](const Config& c) { return c.dir.mode == DirMode::kSharded; }},
     {" async-release", [](const Config& c) { return c.AsyncRelease(); }},
-    {" mc-shm", [](const Config& c) { return c.mc.transport == McTransportKind::kShm; }},
 };
 
 }  // namespace
 
-bool ParseTransportKind(const char* name, McTransportKind* out) {
-  if (std::strcmp(name, "inproc") == 0) {
-    *out = McTransportKind::kInProc;
-    return true;
-  }
-  if (std::strcmp(name, "shm") == 0) {
-    *out = McTransportKind::kShm;
-    return true;
+bool ParseProtocolVariant(const char* name, ProtocolVariant* out) {
+  for (const ProtocolVariant v :
+       {ProtocolVariant::kTwoLevel, ProtocolVariant::kTwoLevelShootdown,
+        ProtocolVariant::kTwoLevelGlobalLock, ProtocolVariant::kOneLevelDiff,
+        ProtocolVariant::kOneLevelWriteDouble}) {
+    if (std::strcmp(ProtocolVariantName(v), name) == 0) {
+      *out = v;
+      return true;
+    }
   }
   return false;
-}
-
-bool ApplyTransportEnv(Config* cfg) {
-  const char* env = std::getenv("CSM_TRANSPORT");
-  if (env == nullptr) {
-    return true;
-  }
-  return ParseTransportKind(env, &cfg->mc.transport);
 }
 
 std::string Config::Describe() const {

@@ -23,6 +23,10 @@ enum class ProtocolVariant : int {
 };
 
 const char* ProtocolVariantName(ProtocolVariant v);
+// Inverse of ProtocolVariantName: parses "2L" | "2LS" | "2L-lock" | "1LD" |
+// "1L" into `*out`; false (out untouched) on any other name. Shared by the
+// CLI drivers' --protocol flags.
+bool ParseProtocolVariant(const char* name, ProtocolVariant* out);
 bool IsTwoLevel(ProtocolVariant v);
 
 // How explicit requests (page fetch, break-exclusive, shootdown) are
@@ -57,31 +61,6 @@ struct TraceOptions {
   std::uint32_t ring_events = 1u << 14;
 };
 
-// Global directory backend selection (protocol/directory.hpp,
-// protocol/directory_sharded.hpp, DESIGN.md §13).
-enum class DirMode : int {
-  // The paper's replicated directory: every unit holds a full replica
-  // (O(pages x units) words per node) and every update is an ordered MC
-  // broadcast. The default, byte-identical to the historical behaviour.
-  kReplicated = 0,
-  // Hash-sharded directory: each page's entry lives only on its shard
-  // owner (co-located with the HomeTable home), updates are point-to-point
-  // writes to that owner, readers go through a per-unit entry cache
-  // invalidated on write notices, and entry storage is a reservation the
-  // kernel commits on first touch (memory proportional to touched pages).
-  kSharded = 1,
-};
-
-struct DirTuning {
-  DirMode mode = DirMode::kReplicated;
-  // Sharded mode: per-unit directory-entry cache size (rounded up to a
-  // power of two; direct-mapped).
-  std::uint32_t cache_entries = 4096;
-  // Sharded mode: pages per shard segment, the grain at which touched
-  // entry storage is counted (ResidentBytes, kDirSegmentsAllocated).
-  std::uint32_t segment_pages = 64;
-};
-
 // Asynchronous release-path coherence (protocol/coherence_log.hpp,
 // DESIGN.md §12). Named `async` rather than the issue's `protocol.*`
 // spelling because Config::protocol is the variant enum.
@@ -96,26 +75,6 @@ struct AsyncTuning {
   // release path.
   bool release = true;
 };
-
-// Memory Channel transport selection (mc/transport.hpp, DESIGN.md §14).
-enum class McTransportKind : int {
-  // All emulated nodes in one process; remote writes are atomic stores into
-  // the receiver's memory. The default, byte-identical counters to the
-  // pre-transport McHub.
-  kInProc = 0,
-  // One OS process per node: arenas on memfd segments mapped by every node
-  // process, ordered ops through a cross-process futex-or-spin lock, UDS
-  // control plane for bootstrap/barrier/teardown (tools/cashmere_launch).
-  kShm = 1,
-};
-
-struct McTuning {
-  McTransportKind transport = McTransportKind::kInProc;
-};
-
-// Parses a transport name ("inproc" | "shm") into `*out`; false on an
-// unknown name. Shared by the CLI drivers' --transport flags.
-bool ParseTransportKind(const char* name, McTransportKind* out);
 
 // Cost-model scaling knobs.
 struct CostTuning {
@@ -149,9 +108,7 @@ struct Config {
   FaultMode fault_mode = FaultMode::kSigsegv;
 
   TraceOptions trace;
-  DirTuning dir;
   AsyncTuning async;
-  McTuning mc;
   CostTuning cost;
 
   CostModel costs;
@@ -197,18 +154,10 @@ struct Config {
     CSM_CHECK(heap_bytes % kPageBytes == 0);
     CSM_CHECK(heap_bytes >= kPageBytes);
     CSM_CHECK(superpage_pages >= 1);
-    CSM_CHECK(dir.cache_entries >= 1);
-    CSM_CHECK(dir.segment_pages >= 1);
   }
 
   std::string Describe() const;
 };
-
-// Applies the CSM_TRANSPORT environment variable (if set) to `cfg->mc`.
-// This is how tools/cashmere_launch selects the shm backend in the lead
-// process without rewriting its command line; an explicit --transport flag
-// parsed afterwards wins. Returns false (cfg untouched) on an unknown value.
-bool ApplyTransportEnv(Config* cfg);
 
 }  // namespace cashmere
 

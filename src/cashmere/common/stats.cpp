@@ -70,14 +70,6 @@ const char* CounterName(Counter c) {
       return "Coh. Gate Waits";
     case Counter::kReleasePathNs:
       return "Release Path (ns)";
-    case Counter::kDirP2PUpdates:
-      return "Dir. P2P Updates";
-    case Counter::kDirBroadcastUpdates:
-      return "Dir. Broadcast Updates";
-    case Counter::kDirCacheHits:
-      return "Dir. Cache Hits";
-    case Counter::kDirSegmentsAllocated:
-      return "Dir. Segments Allocated";
     case Counter::kNumCounters:
       break;
   }

@@ -56,11 +56,6 @@ enum class Counter : int {
   kCohLogPublishStalls,  // publishes that waited on a full ring
   kCohGateWaits,         // acquires that waited on an applied_seq gate
   kReleasePathNs,        // virtual ns spent inside ReleaseSync (critical path)
-  // Directory backend instrumentation (protocol/directory_sharded.hpp).
-  kDirP2PUpdates,        // directory updates sent point-to-point (sharded)
-  kDirBroadcastUpdates,  // directory updates broadcast to every replica
-  kDirCacheHits,         // sharded-mode entry-cache hits (folded post-run)
-  kDirSegmentsAllocated, // lazily-allocated shard segments (folded post-run)
   kNumCounters,
 };
 inline constexpr int kNumCounters = static_cast<int>(Counter::kNumCounters);

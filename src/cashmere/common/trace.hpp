@@ -46,9 +46,7 @@ enum class EventKind : std::uint8_t {
                        // on a break-exclusive reply, 0 if fetched from home
   kDiffApplyOutgoing,  // final-flush apply to master: a0 = runs, a1 = words
   kPageCopy,           // full-page transfer into the local frame
-  kDirUpdate,          // directory word transition: a0 = packed word in the
-                       // low bits, p2p flag at bit 15, wire bytes in the
-                       // high half (DirUpdateTraceArg, directory.hpp);
+  kDirUpdate,          // directory word transition: a0 = packed word,
                        // a1 = unit logical clock at the update
   kWnPost,             // write notice posted: a0 = destination unit
   kWnDrainGlobal,      // notice drained into this unit: a1 = stamped wn_ts

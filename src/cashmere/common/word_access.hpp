@@ -54,27 +54,6 @@ inline void StoreWord32Release(void* p, std::uint32_t v) {
       .store(v, std::memory_order_release);
 }
 
-// Read-modify-write on a shared word. Used by the cross-process
-// SharedWordLock (sync/shared_word_lock.hpp), whose lock word lives in a
-// shm control segment: std::atomic_ref on a plain uint32_t is exactly the
-// process-shared-capable idiom (address-free, always lock-free per the
-// static_assert above).
-inline bool CasWord32AcqRel(void* p, std::uint32_t& expected, std::uint32_t desired) {
-  return std::atomic_ref<std::uint32_t>(*static_cast<std::uint32_t*>(p))
-      .compare_exchange_strong(expected, desired, std::memory_order_acq_rel,
-                               std::memory_order_acquire);
-}
-
-inline std::uint32_t ExchangeWord32AcqRel(void* p, std::uint32_t v) {
-  return std::atomic_ref<std::uint32_t>(*static_cast<std::uint32_t*>(p))
-      .exchange(v, std::memory_order_acq_rel);
-}
-
-inline std::uint32_t FetchAddWord32AcqRel(void* p, std::uint32_t v) {
-  return std::atomic_ref<std::uint32_t>(*static_cast<std::uint32_t*>(p))
-      .fetch_add(v, std::memory_order_acq_rel);
-}
-
 inline bool Chunk64Aligned(const void* p) {
   return (reinterpret_cast<std::uintptr_t>(p) % alignof(std::uint64_t)) == 0;
 }

@@ -23,24 +23,6 @@ std::uint32_t LoadWord32(const void* src) { return LoadWord32Acquire(src); }
 
 void StoreWord32(void* dst, std::uint32_t value) { StoreWord32Release(dst, value); }
 
-McHub::McHub(int units)
-    : units_(units),
-      owned_transport_(std::make_unique<InProcTransport>()),
-      transport_(owned_transport_.get()),
-      inproc_(transport_->AsInProc()) {}
-
-McHub::McHub(int units, McTransport* transport)
-    : units_(units), transport_(transport), inproc_(transport_->AsInProc()) {
-  CSM_CHECK(transport_ != nullptr);
-}
-
-std::uint32_t McHub::IssueVirtual(McOp op) {
-  const std::uint32_t prev = transport_->Execute(op);
-  AccountWrite(op.traffic, op.WireBytes(units_));
-  return prev;
-}
-
-
 VirtTime McHub::ReserveBus(VirtTime earliest, std::size_t bytes) {
   if (ns_per_byte_ <= 0.0) {
     return earliest;

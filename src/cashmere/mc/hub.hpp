@@ -1,4 +1,4 @@
-// Memory Channel (MC) hub: the accounting and bus-reservation chokepoint.
+// Memory Channel (MC) hub: the remote-write wire and its accounting.
 //
 // DEC's Memory Channel is a remote-write network: writes (32-bit granularity)
 // to a transmit region are forwarded through a hub and DMA-ed into receive
@@ -8,29 +8,148 @@
 // (c) optional loop-back so a writer can tell when its own write has been
 // globally performed.
 //
-// The raw wire behind those guarantees is pluggable (mc/transport.hpp):
-// InProcTransport emulates the cluster inside one process, ShmTransport
-// spreads it across one OS process per node on shared memfd segments. The
-// hub itself is wire-agnostic — protocol code builds a typed McOp and calls
-// Issue(), which delegates the write to the bound transport and charges
-// traffic exactly once. Counters under the default in-process transport are
-// byte-identical to the historical per-method accounting (pinned by
-// mc_test's InprocCountersMatchPrePluggableAccounting).
+// The full vocabulary the protocol needs from the wire is five operations
+// (one unordered word write, an unordered word-stream write, an RLE
+// diff-run scatter, and the totally-ordered broadcast/exchange pair used
+// for control words), described by a typed McOp and funnelled through
+// McHub::Issue, which executes the write and charges its traffic once.
+//
+// All emulated nodes live in one process, so a remote write is an atomic
+// 32-bit store executed by the sender directly into the receiver's memory.
+// That reproduces MC's observable behaviour exactly:
+//   - atomicity: std::atomic_ref<uint32_t> stores (common/word_access.hpp);
+//   - global ordering for control traffic: the ordered ops serialize
+//     through the hub's order lock (MC is physically a bus);
+//   - loop-back: a broadcast is globally performed when Issue returns.
+// Replicated regions (directory, lock arrays) are stored once rather than
+// once per node: because updates are applied atomically inside the hub,
+// every per-node replica would be bitwise identical at all times, so a
+// single copy is observationally equivalent; broadcast *traffic* is still
+// accounted per replica (McOp::WireBytes).
 #ifndef CASHMERE_MC_HUB_HPP_
 #define CASHMERE_MC_HUB_HPP_
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
+#include "cashmere/common/spin.hpp"
 #include "cashmere/common/trace.hpp"
 #include "cashmere/common/types.hpp"
 #include "cashmere/common/word_access.hpp"
-#include "cashmere/mc/inproc_transport.hpp"
-#include "cashmere/mc/transport.hpp"
 
 namespace cashmere {
+
+// Traffic classes, for the Table 3 "Data" row and the MC accounting tests.
+enum class Traffic : int {
+  kDirectory = 0,
+  kSyncObject,
+  kWriteNotice,
+  kRequest,
+  kPageData,   // full page transfers (fetch replies, exclusive flushes)
+  kDiffData,   // outgoing diffs flushed to home nodes
+  kNumClasses,
+};
+inline constexpr int kNumTrafficClasses = static_cast<int>(Traffic::kNumClasses);
+
+// --- The remote-write vocabulary ------------------------------------------
+
+enum class McOpKind : std::uint8_t {
+  kWrite32 = 0,           // unordered remote write of one word
+  kWriteStream,           // unordered remote write of a word stream
+  kWriteRun,              // RLE diff run: scatter payload at a word offset
+  kOrderedBroadcast32,    // totally-ordered broadcast of one word
+  kOrderedExchange32,     // ordered read-modify-broadcast (returns previous)
+};
+
+// One remote-write operation, fully described. Call sites build a typed
+// descriptor with the named constructors and funnel it through
+// McHub::Issue; the per-op wire-byte math lives here (WireBytes) so every
+// op is charged by one formula.
+struct McOp {
+  McOpKind kind = McOpKind::kWrite32;
+  Traffic traffic = Traffic::kDirectory;
+  void* dst = nullptr;          // destination word or stream/run base
+  const void* src = nullptr;    // payload (stream/run ops)
+  std::uint32_t value = 0;      // payload (word ops)
+  std::size_t words = 0;        // payload length in 32-bit words
+  std::size_t offset_words = 0; // run scatter offset from dst
+
+  // Unordered remote write of a single word.
+  static McOp Word(std::uint32_t* dst, std::uint32_t value, Traffic t) {
+    McOp op;
+    op.kind = McOpKind::kWrite32;
+    op.traffic = t;
+    op.dst = dst;
+    op.value = value;
+    return op;
+  }
+  // Unordered remote write of `words` words into one destination node's
+  // receive region (page data, diffs, write notices). Word-atomic.
+  static McOp Stream(void* dst, const void* src, std::size_t words, Traffic t) {
+    McOp op;
+    op.kind = McOpKind::kWriteStream;
+    op.traffic = t;
+    op.dst = dst;
+    op.src = src;
+    op.words = words;
+    return op;
+  }
+  // One RLE diff run: scatters `nwords` payload words into `dst_base` at
+  // word offset `offset_words`. On MC a diff run is raw remote writes of
+  // the modified words, so traffic is the payload bytes only.
+  static McOp Run(void* dst_base, std::size_t offset_words, const void* payload,
+                  std::size_t nwords, Traffic t) {
+    McOp op;
+    op.kind = McOpKind::kWriteRun;
+    op.traffic = t;
+    op.dst = dst_base;
+    op.src = payload;
+    op.words = nwords;
+    op.offset_words = offset_words;
+    return op;
+  }
+  // Totally-ordered broadcast of one word to a replicated location.
+  // Issue returns only after the write is globally performed (loop-back
+  // semantics). Traffic is accounted as one write per replica.
+  static McOp Broadcast(std::uint32_t* location, std::uint32_t value, Traffic t) {
+    McOp op;
+    op.kind = McOpKind::kOrderedBroadcast32;
+    op.traffic = t;
+    op.dst = location;
+    op.value = value;
+    return op;
+  }
+  // Ordered read-modify-broadcast: applies `value` and returns the previous
+  // value, all inside the global order. Used to resolve races the real
+  // protocol resolves through MC's total write ordering (e.g. concurrent
+  // exclusive-mode claims).
+  static McOp Exchange(std::uint32_t* location, std::uint32_t value, Traffic t) {
+    McOp op;
+    op.kind = McOpKind::kOrderedExchange32;
+    op.traffic = t;
+    op.dst = location;
+    op.value = value;
+    return op;
+  }
+
+  // Wire bytes this op charges: broadcasts charge one word per replica,
+  // streams and runs charge their payload.
+  std::size_t WireBytes(int units) const {
+    switch (kind) {
+      case McOpKind::kWrite32:
+        return kWordBytes;
+      case McOpKind::kWriteStream:
+      case McOpKind::kWriteRun:
+        return words * kWordBytes;
+      case McOpKind::kOrderedBroadcast32:
+      case McOpKind::kOrderedExchange32:
+        return kWordBytes * static_cast<std::size_t>(units);
+    }
+    return 0;
+  }
+};
 
 // Atomic 32-bit word copy helpers. All shared-page data movement in the
 // system goes through these, mirroring MC's 32-bit write atomicity and
@@ -43,45 +162,51 @@ void StoreWord32(void* dst, std::uint32_t value);
 
 class McHub {
  public:
-  // Owns a default in-process transport.
-  explicit McHub(int units);
-  // Binds an externally-owned transport (must outlive the hub).
-  McHub(int units, McTransport* transport);
+  explicit McHub(int units) : units_(units) {}
   McHub(const McHub&) = delete;
   McHub& operator=(const McHub&) = delete;
 
   int units() const { return units_; }
-  McTransport& transport() { return *transport_; }
-  const McTransport& transport() const { return *transport_; }
 
-  // The single remote-write funnel: executes `op` on the bound transport
-  // and charges its wire bytes to the op's traffic class. Returns the
-  // previous word value for exchange ops, 0 otherwise. The descriptor is
-  // passed by value everywhere on this path — including into the
-  // out-of-line IssueVirtual fallback — so its address never escapes and
-  // the compiler can scalarize it; call sites build the op with a
-  // compile-time-constant kind, so the dispatch and WireBytes switches
-  // fold away on the devirtualized default path (the bench_transport
-  // ≤5% gate). Calling Execute(const McOp&) here directly would leak &op
-  // into a virtual call and pin the descriptor in memory.
+  // The single remote-write funnel: executes `op` and charges its wire
+  // bytes to the op's traffic class. Returns the previous word value for
+  // exchange ops, 0 otherwise. Defined here, in the header, and taking the
+  // descriptor by value on purpose: call sites build the op with a
+  // compile-time-constant kind, so after inlining the dispatch and
+  // WireBytes switches fold away and an Issue costs the store plus the two
+  // relaxed fetch-adds of AccountWrite.
   std::uint32_t Issue(McOp op) {
-    if (inproc_ != nullptr) {
-      const std::uint32_t prev = inproc_->ExecuteInline(op);
-      AccountWrite(op.traffic, op.WireBytes(units_));
-      return prev;
+    std::uint32_t prev = 0;
+    switch (op.kind) {
+      case McOpKind::kWrite32:
+        StoreWord32Release(op.dst, op.value);
+        break;
+      case McOpKind::kWriteStream:
+        CopyWords32(op.dst, op.src, op.words);
+        break;
+      case McOpKind::kWriteRun:
+        CopyWords32(static_cast<std::byte*>(op.dst) + op.offset_words * kWordBytes,
+                    op.src, op.words);
+        break;
+      case McOpKind::kOrderedBroadcast32: {
+        SpinLockGuard guard(order_lock_);
+        StoreWord32Release(op.dst, op.value);
+        break;
+      }
+      case McOpKind::kOrderedExchange32: {
+        SpinLockGuard guard(order_lock_);
+        prev = LoadWord32Acquire(op.dst);
+        StoreWord32Release(op.dst, op.value);
+        break;
+      }
     }
-    // Rebuilt field-by-field so this cold block is the only place a whole
-    // McOp object exists: `op` itself then has scalar uses only, and the
-    // hot path above carries no aggregate stores at all.
-    return IssueVirtual(McOp{op.kind, op.traffic, op.dst, op.src, op.value,
-                             op.words, op.offset_words});
+    AccountWrite(op.traffic, op.WireBytes(units_));
+    return prev;
   }
 
   // Account traffic that was moved by other means (e.g. diff runs applied
   // word by word inside the diff engine, directory words stored under a
-  // lock already held). Inline: with ExecuteInline also in its header, the
-  // default Issue path compiles down to the store plus these two relaxed
-  // fetch-adds — the same instructions the pre-transport hub executed.
+  // lock already held). Inline, like Issue.
   void AccountWrite(Traffic t, std::size_t bytes) {
     bytes_[static_cast<int>(t)].fetch_add(bytes, std::memory_order_relaxed);
     writes_[static_cast<int>(t)].fetch_add(1, std::memory_order_relaxed);
@@ -114,15 +239,13 @@ class McHub {
   VirtTime ReserveBus(VirtTime earliest, std::size_t bytes);
 
  private:
-  // Cold path for non-inproc backends: the vtable dispatch to
-  // McTransport::Execute plus the traffic charge. Out of line (hub.cpp)
-  // and by value on purpose — see Issue.
-  std::uint32_t IssueVirtual(McOp op);
-
   int units_;
-  std::unique_ptr<McTransport> owned_transport_;  // set by the 1-arg ctor
-  McTransport* transport_;
-  InProcTransport* inproc_;  // devirtualized fast path; null for other backends
+  // Capability ordering the "bus": the ordered-op critical sections model
+  // MC's single global write order. It guards no hub field — the
+  // serialized stores land in caller-owned replicated locations — so there
+  // is no GUARDED_BY; the RAII guard plus the SpinLock capability
+  // annotations give the analysis the pairing.
+  SpinLock order_lock_;
   // Set once by the runtime before processor threads start; read-only after.
   double ns_per_byte_ = 0.0;
   std::atomic<std::uint64_t> bus_clock_{0};

@@ -50,23 +50,16 @@ bool CashmereProtocol::UnitAtMaster(UnitId unit, PageId page) const {
   return false;
 }
 
-// Page frames are addressed base-relatively: the arena names the frame as
-// a position-independent {segment, offset} ref and the transport resolves
-// it through this process's mapping table (one inline indexed load — the
-// zero-cost fast path). Under the shm transport the same ref resolves to a
-// different address in every process that mapped the segment.
 std::byte* CashmereProtocol::MasterPtr(PageId page) const {
   const UnitId home = deps_.homes->HomeOfPage(page);
-  const Arena& arena = *(*deps_.arenas)[static_cast<std::size_t>(home)];
-  return deps_.hub->transport().Resolve(arena.FrameOf(page));
+  return (*deps_.arenas)[static_cast<std::size_t>(home)]->PagePtr(page);
 }
 
 std::byte* CashmereProtocol::WorkingPtr(UnitId unit, PageId page) const {
   if (UnitAtMaster(unit, page)) {
     return MasterPtr(page);
   }
-  const Arena& arena = *(*deps_.arenas)[static_cast<std::size_t>(unit)];
-  return deps_.hub->transport().Resolve(arena.FrameOf(page));
+  return (*deps_.arenas)[static_cast<std::size_t>(unit)]->PagePtr(page);
 }
 
 void CashmereProtocol::ProtectLocal(Context& ctx, PageLocal& pl, UnitId unit, int local_index,
@@ -117,27 +110,25 @@ Perm CashmereProtocol::ResolveQueuedPerm(void* self, ProcId proc, PageId page,
 // Directory helpers
 
 void CashmereProtocol::UpdateDirWord(Context& ctx, PageId page, DirWord word) {
-  DirWriteResult res;
   if (IsGlobalLock()) {
     SpinLockGuard guard(deps_.dir->EntryLock(page));
     // csm-lint: allow(raw-dir-write) -- UpdateDirWord IS the sanctioned
     // directory-write funnel; every fault/acquire-path caller routes here.
-    res = deps_.dir->Write(page, ctx.unit(), word);
+    deps_.dir->Write(page, ctx.unit(), word);
     ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
                        CostModel::UsToNs(cfg_.costs.dir_update_locked_us));
   } else {
     // csm-lint: allow(raw-dir-write) -- UpdateDirWord IS the sanctioned
     // directory-write funnel; every fault/acquire-path caller routes here.
-    res = deps_.dir->Write(page, ctx.unit(), word);
+    deps_.dir->Write(page, ctx.unit(), word);
     ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
                        CostModel::UsToNs(cfg_.costs.dir_update_us));
   }
   ctx.stats().Add(Counter::kDirectoryUpdates);
-  ctx.stats().Add(res.p2p ? Counter::kDirP2PUpdates : Counter::kDirBroadcastUpdates);
   if (TraceActive()) {
     UnitState& us = Unit(ctx.unit());
-    TraceEmit(EventKind::kDirUpdate, page, NextTraceSeq(us.Page(page)),
-              DirUpdateTraceArg(word, res), us.Now());
+    TraceEmit(EventKind::kDirUpdate, page, NextTraceSeq(us.Page(page)), word.Pack(),
+              us.Now());
   }
 }
 
@@ -312,7 +303,7 @@ bool CashmereProtocol::NeedFetch(const PageLocal& pl, UnitId unit, PageId page) 
   // before the access proceeds — even when a timestamp-valid local copy or
   // the master frame is at hand. The holder-at-master case is the one
   // exception for master-sharing units: they read the same frame.
-  const UnitId holder = deps_.dir->ExclusiveHolder(page, unit);
+  const UnitId holder = deps_.dir->ExclusiveHolder(page);
   if (holder >= 0 && holder != unit) {
     if (!(UnitAtMaster(unit, page) && UnitAtMaster(holder, page))) {
       return true;
@@ -420,9 +411,6 @@ void CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId 
     // At the master copy the holder's break-time flush already updated our
     // frame; the piggybacked image is redundant.
   }
-  // The holder's directory downgrade just changed the entry: drop any
-  // cached image so subsequent holder queries refetch (sharded backend).
-  deps_.dir->InvalidateCached(ctx.unit(), page);
 }
 
 void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
@@ -454,10 +442,11 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
     ServeWhile(ctx, [&] { return pl.pending_flush.load(std::memory_order_acquire) != 0; });
   }
 
-  // Authoritative lookup: a cached "no holder" here could miss a claim
-  // that raced with our fault and leave the holder's modifications
-  // invisible (no write notices in exclusive mode), so re-read the entry.
-  const UnitId holder = deps_.dir->ExclusiveHolderFresh(page, ctx.unit());
+  // Re-read the holder: NeedFetch's lookup was taken before the page lock
+  // was dropped, and a claim that raced with our fault since then would
+  // leave the holder's modifications invisible (no write notices in
+  // exclusive mode).
+  const UnitId holder = deps_.dir->ExclusiveHolder(page);
   if (holder >= 0 && holder != ctx.unit()) {
     BreakRemoteExclusive(ctx, pl, page, holder, diff_flushes_at_request);
     if (UnitAtMaster(ctx.unit(), page)) {
@@ -590,12 +579,10 @@ void CashmereProtocol::EnterExclusiveOrShare(Context& ctx, PageLocal& pl, PageId
     // csm-lint: allow(raw-dir-write) -- the exclusive-mode claim must be an
     // ordered write+snapshot on the fault path itself; it cannot ride the
     // coherence log (the race is resolved by MC write ordering, not HB).
-    const DirWriteResult res = deps_.dir->WriteAndSnapshot(page, ctx.unit(), claim, snapshot);
+    deps_.dir->WriteAndSnapshot(page, ctx.unit(), claim, snapshot);
     ctx.stats().Add(Counter::kDirectoryUpdates);
-    ctx.stats().Add(res.p2p ? Counter::kDirP2PUpdates : Counter::kDirBroadcastUpdates);
     if (TraceActive()) {
-      TraceEmit(EventKind::kDirUpdate, page, NextTraceSeq(pl),
-                DirUpdateTraceArg(claim, res), us.Now());
+      TraceEmit(EventKind::kDirUpdate, page, NextTraceSeq(pl), claim.Pack(), us.Now());
     }
     ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
                        CostModel::UsToNs(cfg_.costs.dir_update_us));
@@ -1052,9 +1039,6 @@ void CashmereProtocol::AcquireSync(Context& ctx) {
     deps_.notices->DrainGlobal(ctx.unit(), [&](PageId page) {
       PageLocal& pl = us.Page(page);
       SpinLockGuard guard(pl.lock);
-      // A write notice means the page's entry changed remotely: drop this
-      // unit's cached directory entry (no-op for the replicated backend).
-      deps_.dir->InvalidateCached(ctx.unit(), page);
       const std::uint64_t wn_ts = us.Now();
       pl.wn_ts.store(wn_ts, std::memory_order_release);
       if (TraceActive()) {
@@ -1194,9 +1178,7 @@ void CashmereProtocol::MaybeFirstTouch(Context& ctx, PageId page) {
     const PageId last = static_cast<PageId>(
         std::min<std::size_t>((sp + 1) * deps_.homes->superpage_pages(), cfg_.pages()));
     for (PageId page = first; page < last && !any_exclusive; ++page) {
-      // Authoritative: relocating under a missed exclusive holder would
-      // copy a stale master frame.
-      any_exclusive = deps_.dir->ExclusiveHolderFresh(page, ctx.unit()) >= 0;
+      any_exclusive = deps_.dir->ExclusiveHolder(page) >= 0;
     }
     if (!any_exclusive) {
       RelocateSuperpage(ctx, sp, ctx.unit());
@@ -1240,12 +1222,11 @@ void CashmereProtocol::RelocateSuperpage(Context& ctx, std::size_t sp, UnitId ne
 
     PageLocal& npl = new_us.Page(page);
     SpinLockGuard new_guard(npl.lock);
-    // Move the master copy (frame refs, resolved through the transport,
-    // like every other master access).
-    std::byte* old_master = deps_.hub->transport().Resolve(
-        (*deps_.arenas)[static_cast<std::size_t>(old_home)]->FrameOf(page));
-    std::byte* new_master = deps_.hub->transport().Resolve(
-        (*deps_.arenas)[static_cast<std::size_t>(new_home)]->FrameOf(page));
+    // Move the master copy.
+    std::byte* old_master =
+        (*deps_.arenas)[static_cast<std::size_t>(old_home)]->PagePtr(page);
+    std::byte* new_master =
+        (*deps_.arenas)[static_cast<std::size_t>(new_home)]->PagePtr(page);
     CopyPage(new_master, old_master);
     deps_.hub->AccountWrite(Traffic::kPageData, kPageBytes);
     SetTwinTraced(npl, page, false);

@@ -57,7 +57,7 @@ class CashmereProtocol : public RequestHandler {
     const Config* cfg = nullptr;
     McHub* hub = nullptr;
     MessageLayer* msg = nullptr;
-    DirectoryBackend* dir = nullptr;
+    GlobalDirectory* dir = nullptr;
     HomeTable* homes = nullptr;
     WriteNoticeBoard* notices = nullptr;
     std::vector<std::unique_ptr<Arena>>* arenas = nullptr;     // per unit

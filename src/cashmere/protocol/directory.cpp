@@ -4,53 +4,35 @@
 
 namespace cashmere {
 
-namespace {
-
-// Directory writes are ordered among themselves (MC guarantees a total
-// order per region); a module-level lock per directory models that.
-SpinLock& OrderLock() {
-  static SpinLock lock;
-  return lock;
-}
-
-}  // namespace
-
 GlobalDirectory::GlobalDirectory(const Config& cfg, McHub& hub)
-    : DirectoryBackend(cfg),
+    : units_(cfg.units()),
       hub_(hub),
-      words_(cfg.pages() * static_cast<std::size_t>(units_), 0) {}
+      words_(cfg.pages() * static_cast<std::size_t>(units_), 0),
+      entry_locks_(kNumEntryLocks) {}
 
-DirWord GlobalDirectory::Read(PageId page, UnitId unit) {
+DirWord GlobalDirectory::Read(PageId page, UnitId unit) const {
   return DirWord::Unpack(LoadWord32(WordPtr(page, unit)));
 }
 
-DirWriteResult GlobalDirectory::Write(PageId page, UnitId unit, DirWord word) {
+void GlobalDirectory::Write(PageId page, UnitId unit, DirWord word) {
   CsmAssertUnitWriter(unit, "GlobalDirectory::Write");
-  SpinLockGuard guard(OrderLock());
+  SpinLockGuard guard(write_order_lock_);
   StoreWord32(WordPtr(page, unit), word.Pack());
   hub_.AccountWrite(Traffic::kDirectory, kWordBytes * static_cast<std::size_t>(units_));
-  DirWriteResult res;
-  res.wire_bytes = static_cast<std::uint32_t>(kWordBytes * static_cast<std::size_t>(units_));
-  res.p2p = false;
-  return res;
 }
 
-DirWriteResult GlobalDirectory::WriteAndSnapshot(PageId page, UnitId unit, DirWord word,
-                                                 std::uint32_t* snapshot) {
+void GlobalDirectory::WriteAndSnapshot(PageId page, UnitId unit, DirWord word,
+                                       std::uint32_t* snapshot) {
   CsmAssertUnitWriter(unit, "GlobalDirectory::WriteAndSnapshot");
-  SpinLockGuard guard(OrderLock());
+  SpinLockGuard guard(write_order_lock_);
   StoreWord32(WordPtr(page, unit), word.Pack());
   hub_.AccountWrite(Traffic::kDirectory, kWordBytes * static_cast<std::size_t>(units_));
   for (int u = 0; u < units_; ++u) {
     snapshot[u] = LoadWord32(WordPtr(page, u));
   }
-  DirWriteResult res;
-  res.wire_bytes = static_cast<std::uint32_t>(kWordBytes * static_cast<std::size_t>(units_));
-  res.p2p = false;
-  return res;
 }
 
-bool GlobalDirectory::AnyOtherSharer(PageId page, UnitId self) {
+bool GlobalDirectory::AnyOtherSharer(PageId page, UnitId self) const {
   for (int u = 0; u < units_; ++u) {
     if (u == self) {
       continue;
@@ -63,7 +45,7 @@ bool GlobalDirectory::AnyOtherSharer(PageId page, UnitId self) {
   return false;
 }
 
-UnitId GlobalDirectory::ExclusiveHolder(PageId page, UnitId /*reader*/) {
+UnitId GlobalDirectory::ExclusiveHolder(PageId page) const {
   for (int u = 0; u < units_; ++u) {
     if (Read(page, u).exclusive) {
       return u;
@@ -72,7 +54,7 @@ UnitId GlobalDirectory::ExclusiveHolder(PageId page, UnitId /*reader*/) {
   return -1;
 }
 
-int GlobalDirectory::Sharers(PageId page, UnitId exclude, UnitId* out) {
+int GlobalDirectory::Sharers(PageId page, UnitId exclude, UnitId* out) const {
   int n = 0;
   for (int u = 0; u < units_; ++u) {
     if (u == exclude) {

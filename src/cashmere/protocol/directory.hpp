@@ -1,10 +1,12 @@
-// The global page directory (Section 2.3, Figure 1), behind a selectable
-// backend (Config::dir.mode).
+// The replicated global page directory (Section 2.3, Figure 1).
 //
 // Each page has one 32-bit word per coherence unit; the word is written
 // *only* by that unit, which is what makes the directory lock-free: 32 bits
 // is the atomic write grain of both the Alpha and the Memory Channel, so a
-// single-writer word needs no lock.
+// single-writer word needs no lock. Every unit holds a full replica and
+// updates are ordered MC broadcasts (doubled to the writer's own replica in
+// software), so every query is a local-replica scan: free on the wire and
+// always authoritative.
 //
 // Word layout (this reproduction):
 //   bits 0-1   loosest permission of any processor on the unit
@@ -14,24 +16,13 @@
 // paper stores it redundantly in every word, which carries the same
 // information.
 //
-// Backends:
-//   GlobalDirectory   (dir.mode = replicated, default) — the paper's
-//                     replicated directory: every unit holds a full
-//                     replica and updates are ordered MC broadcasts.
-//   ShardedDirectory  (dir.mode = sharded, directory_sharded.hpp) — each
-//                     page's entry lives only on its hash-assigned shard
-//                     owner (the HomeTable home); updates are point-to-
-//                     point writes and readers go through a per-unit entry
-//                     cache. See DESIGN.md §13.
-//
 // The 2L-globallock ablation (Section 3.3.5) instead guards each entry with
 // a global lock; the protocol then charges the locked update cost and
-// serializes on a real per-entry lock (EntryLock, shared by both backends).
+// serializes on a real per-entry lock (EntryLock).
 #ifndef CASHMERE_PROTOCOL_DIRECTORY_HPP_
 #define CASHMERE_PROTOCOL_DIRECTORY_HPP_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cashmere/common/config.hpp"
@@ -41,8 +32,6 @@
 #include "cashmere/mc/hub.hpp"
 
 namespace cashmere {
-
-class HomeTable;
 
 struct DirWord {
   Perm perm = Perm::kInvalid;
@@ -62,159 +51,71 @@ struct DirWord {
   }
 };
 
-// What one directory update put on the wire, so the protocol's update
-// funnel can book the per-mode counters and trace the traffic shape
-// without knowing which backend it talks to.
-struct DirWriteResult {
-  std::uint32_t wire_bytes = 0;  // MC bytes the update placed on the wire
-  bool p2p = false;              // point-to-point (sharded) vs broadcast
-};
-
-// Encoding of a kDirUpdate trace event's a0 argument: the packed DirWord in
-// the low bits (DirWord::Pack uses 9), the p2p flag at bit 15, and the
-// update's wire bytes in the high half. The replay checker reads only a1
-// (the unit logical clock), so both backends stay checker-clean; the
-// contention tool decodes a0 for its per-page directory-traffic table.
-inline std::uint32_t DirUpdateTraceArg(DirWord word, DirWriteResult res) {
-  const std::uint32_t bytes = res.wire_bytes > 0xffffu ? 0xffffu : res.wire_bytes;
-  return (word.Pack() & 0x7fffu) | (res.p2p ? 0x8000u : 0u) | (bytes << 16);
-}
-struct DirUpdateTraceInfo {
-  bool p2p = false;
-  std::uint32_t wire_bytes = 0;
-};
-inline DirUpdateTraceInfo DecodeDirUpdateTraceArg(std::uint32_t a0) {
-  return DirUpdateTraceInfo{(a0 & 0x8000u) != 0, a0 >> 16};
-}
-
-// Directory backend interface. All per-(page, unit) words obey the
-// single-writer invariant (word (p, u) is written only by unit u); reads
-// are word-atomic and lock-free in both backends.
-//
-// Freshness contract (what the protocol relies on — see DESIGN.md §13):
-//   - Read(page, unit) is the unit's *own-word* lookup (reader == unit)
-//     and is always exact.
-//   - Write / WriteAndSnapshot are authoritative; WriteAndSnapshot's
-//     snapshot is taken inside the MC total order for the entry.
-//   - Sharers and ExclusiveHolderFresh are authoritative (the release
-//     path's write-notice targets and the post-join fetch check must never
-//     act on stale data).
-//   - AnyOtherSharer and ExclusiveHolder may be served from a backend
-//     cache and can be stale; every caller tolerates staleness (a claim is
-//     re-validated by WriteAndSnapshot's snapshot, and a missed holder is
-//     caught by the timestamp check plus ExclusiveHolderFresh in
-//     FetchPage).
-class DirectoryBackend {
+class GlobalDirectory {
  public:
-  explicit DirectoryBackend(const Config& cfg)
-      : units_(cfg.units()), entry_locks_(kNumEntryLocks) {}
-  virtual ~DirectoryBackend() = default;
-  DirectoryBackend(const DirectoryBackend&) = delete;
-  DirectoryBackend& operator=(const DirectoryBackend&) = delete;
+  GlobalDirectory(const Config& cfg, McHub& hub);
+  GlobalDirectory(const GlobalDirectory&) = delete;
+  GlobalDirectory& operator=(const GlobalDirectory&) = delete;
 
-  // The unit's own word for `page` (reader == unit). Exact.
-  virtual DirWord Read(PageId page, UnitId unit) = 0;
+  DirWord Read(PageId page, UnitId unit) const;
 
-  // Writes `unit`'s word for `page`. Only the owning unit may call this
-  // for its own word (single-writer invariant); enforced dynamically via
+  // Writes `unit`'s word for `page` via ordered MC broadcast. Only the
+  // owning unit may call this for its own word (single-writer invariant),
+  // except during home relocation which holds the global home lock and
+  // enters an OwnershipOverrideScope. Enforced dynamically via
   // CsmAssertUnitWriter when ownership checks are on.
-  virtual DirWriteResult Write(PageId page, UnitId unit, DirWord word) = 0;
+  void Write(PageId page, UnitId unit, DirWord word);
 
   // Ordered write that also returns a consistent snapshot taken inside the
-  // MC total order for the entry: after this returns, `snapshot[u]` holds
-  // every unit's word as ordered after our write. Used for race-free
-  // exclusive claims.
-  virtual DirWriteResult WriteAndSnapshot(PageId page, UnitId unit, DirWord word,
-                                          std::uint32_t* snapshot) = 0;
+  // MC total order: after this returns, `snapshot[u]` holds every unit's
+  // word as ordered after our write. Used for race-free exclusive claims.
+  void WriteAndSnapshot(PageId page, UnitId unit, DirWord word, std::uint32_t* snapshot);
 
   // True if any unit other than `self` has a non-invalid permission or an
-  // exclusive claim. May be stale (see the freshness contract).
-  virtual bool AnyOtherSharer(PageId page, UnitId self) = 0;
-  // Unit holding an exclusive claim, or -1, as observed by `reader`. May
-  // be stale.
-  virtual UnitId ExclusiveHolder(PageId page, UnitId reader) = 0;
-  // Authoritative holder lookup: re-reads the owning entry (refreshing the
-  // reader's cache in sharded mode).
-  virtual UnitId ExclusiveHolderFresh(PageId page, UnitId reader) {
-    return ExclusiveHolder(page, reader);
-  }
+  // exclusive claim.
+  bool AnyOtherSharer(PageId page, UnitId self) const;
+  // Unit holding an exclusive claim, or -1.
+  UnitId ExclusiveHolder(PageId page) const;
   // Units (other than `exclude`) with non-invalid permission or an
   // exclusive claim. Fills `out` (capacity >= units()); returns the count.
-  // Array-based so the fault path never allocates. Authoritative; the
-  // caller is `exclude`'s unit (the releaser).
-  virtual int Sharers(PageId page, UnitId exclude, UnitId* out) = 0;
+  // Array-based so the fault path never allocates.
+  int Sharers(PageId page, UnitId exclude, UnitId* out) const;
 
-  // Drops `reader`'s cached entry for `page` (no-op for the replicated
-  // backend). Called on the write-notice drain path, which is exactly when
-  // a cached entry can have gone stale in a way the reader must observe.
-  virtual void InvalidateCached(UnitId reader, PageId page) {}
-
-  // Cluster-wide resident directory memory: replicated counts one full
-  // replica per unit; sharded counts allocated segments plus entry caches.
-  virtual std::size_t ResidentBytes() const = 0;
-  // Backend-global instrumentation, folded into the report after a run
-  // (zero for the replicated backend).
-  virtual std::uint64_t CacheHits() const { return 0; }
-  virtual std::uint64_t CacheMisses() const { return 0; }
-  virtual std::uint64_t SegmentsAllocated() const { return 0; }
-
-  // Per-entry lock for the 2L-globallock ablation (backend-independent).
+  // Per-entry lock for the 2L-globallock ablation.
   SpinLock& EntryLock(PageId page) { return entry_locks_[page % kNumEntryLocks].lock; }
 
   int units() const { return units_; }
-
- protected:
-  static constexpr std::size_t kNumEntryLocks = 256;
-  struct alignas(64) PaddedLock {
-    SpinLock lock;
-  };
-
-  int units_;
-  std::vector<PaddedLock> entry_locks_;
-};
-
-// The paper's replicated directory: one 32-bit word per unit per page on
-// every node (the simulation stores the bitwise-identical replicas once),
-// updates broadcast over MC (doubled to the writer's own replica in
-// software). Every query is a local-replica scan: free on the wire, always
-// authoritative.
-class GlobalDirectory final : public DirectoryBackend {
- public:
-  GlobalDirectory(const Config& cfg, McHub& hub);
-
-  DirWord Read(PageId page, UnitId unit) override;
-  DirWriteResult Write(PageId page, UnitId unit, DirWord word) override;
-  DirWriteResult WriteAndSnapshot(PageId page, UnitId unit, DirWord word,
-                                  std::uint32_t* snapshot) override;
-  bool AnyOtherSharer(PageId page, UnitId self) override;
-  UnitId ExclusiveHolder(PageId page, UnitId reader) override;
-  int Sharers(PageId page, UnitId exclude, UnitId* out) override;
-  std::size_t ResidentBytes() const override {
-    // One full replica per unit: the per-node O(pages x units) footprint
-    // the sharded backend exists to avoid.
-    return words_.size() * kWordBytes * static_cast<std::size_t>(units_);
-  }
 
  private:
   std::uint32_t* WordPtr(PageId page, UnitId unit) {
     return &words_[static_cast<std::size_t>(page) * static_cast<std::size_t>(units_) +
                    static_cast<std::size_t>(unit)];
   }
+  const std::uint32_t* WordPtr(PageId page, UnitId unit) const {
+    return &words_[static_cast<std::size_t>(page) * static_cast<std::size_t>(units_) +
+                   static_cast<std::size_t>(unit)];
+  }
 
+  static constexpr std::size_t kNumEntryLocks = 256;
+  struct alignas(64) PaddedLock {
+    SpinLock lock;
+  };
+
+  int units_;
   McHub& hub_;
+  // Directory writes are ordered among themselves (MC guarantees a total
+  // order per region). One lock per directory models that order, so two
+  // Runtimes in one process never serialize on each other. It guards no
+  // field — the single-writer words below need no lock to read — so there
+  // is no GUARDED_BY.
+  SpinLock write_order_lock_;
   // One 32-bit word per (page, unit); word (p, u) is written only by unit u
   // (home relocation excepted), so readers need no lock — the MC's 32-bit
   // write atomicity is modeled by the word_access helpers.
   CSM_SINGLE_WRITER("unit u for word (page, u)")
   std::vector<std::uint32_t> words_;
+  std::vector<PaddedLock> entry_locks_;
 };
-
-// Constructs the backend selected by cfg.dir.mode. The sharded backend
-// reads shard ownership from `homes` (shard = HomeTable home of the page's
-// superpage), so entries follow first-touch relocation automatically.
-// Defined in directory_sharded.cpp.
-std::unique_ptr<DirectoryBackend> MakeDirectory(const Config& cfg, McHub& hub,
-                                                const HomeTable& homes);
 
 }  // namespace cashmere
 

@@ -14,13 +14,11 @@
 
 namespace cashmere {
 
-Runtime::Runtime(Config cfg, SyncShape sync, McTransport* transport)
+Runtime::Runtime(Config cfg, SyncShape sync)
     : cfg_(std::move(cfg)),
-      owned_transport_(transport == nullptr ? MakeTransport(cfg_) : nullptr),
-      transport_(transport != nullptr ? transport : owned_transport_.get()),
-      hub_(cfg_.units(), transport_),
+      hub_(cfg_.units()),
       homes_(((void)cfg_.Validate(), cfg_)),
-      dir_(MakeDirectory(cfg_, hub_, homes_)),
+      dir_(cfg_, hub_),
       notices_(cfg_, hub_),
       msg_(cfg_),
       heap_(cfg_.heap_bytes) {
@@ -32,27 +30,8 @@ Runtime::Runtime(Config cfg, SyncShape sync, McTransport* transport)
   arenas_.reserve(static_cast<std::size_t>(units));
   twins_.reserve(static_cast<std::size_t>(units));
   units_.reserve(static_cast<std::size_t>(units));
-  // A multi-process transport restricts the shapes it can host: each OS
-  // process is one node, so the coherence unit must be the node (two-level
-  // protocols) and the launched cluster must match the config.
-  if (transport_->cluster_processes() > 1) {
-    CSM_CHECK(cfg_.two_level() &&
-              "shm cluster mode requires a two-level protocol (unit == node)");
-    CSM_CHECK(cfg_.nodes == transport_->cluster_processes() &&
-              "config nodes must match the launched process count");
-  }
-  transport_->BeginBoot();
   for (UnitId u = 0; u < units; ++u) {
-    // The transport hosts the backing storage when it spans processes (the
-    // owning node's peer creates the memfd and passes it back); otherwise
-    // the arena creates its own segment locally.
-    const int seg_fd = transport_->ArenaFdFor(u, cfg_.heap_bytes);
-    arenas_.push_back(seg_fd >= 0
-                          ? std::make_unique<Arena>(seg_fd, cfg_.heap_bytes)
-                          : std::make_unique<Arena>(cfg_.heap_bytes, "cashmere-arena"));
-    Arena& arena = *arenas_.back();
-    arena.set_segment(transport_->RegisterArena(
-        SegmentInfo{arena.fd(), arena.size(), u}, arena.protocol_base()));
+    arenas_.push_back(std::make_unique<Arena>(cfg_.heap_bytes, "cashmere-arena"));
     twins_.push_back(std::make_unique<TwinPool>(cfg_.heap_bytes));
     units_.push_back(std::make_unique<UnitState>(cfg_, u));
   }
@@ -83,7 +62,7 @@ Runtime::Runtime(Config cfg, SyncShape sync, McTransport* transport)
   deps.cfg = &cfg_;
   deps.hub = &hub_;
   deps.msg = &msg_;
-  deps.dir = dir_.get();
+  deps.dir = &dir_;
   deps.homes = &homes_;
   deps.notices = &notices_;
   deps.arenas = &arenas_;
@@ -338,11 +317,6 @@ void Runtime::Run(const std::function<void(Context&)>& body) {
   }
   const double scale = cfg_.cost.time_scale > 0 ? cfg_.cost.time_scale : HostToAlphaTimeScale();
 
-  // Cluster-wide rendezvous before compute: in shm cluster mode this is the
-  // control plane's barrier of last resort (proves every peer process is
-  // alive and serving); a no-op for in-process transports.
-  transport_->BeginRun();
-
   if (cfg_.fault_mode == FaultMode::kSigsegv) {
     FaultDispatcher::Instance().Register(this);
   }
@@ -451,10 +425,6 @@ void Runtime::Run(const std::function<void(Context&)>& body) {
   if (cfg_.fault_mode == FaultMode::kSigsegv) {
     FaultDispatcher::Instance().Unregister(this);
   }
-  // Post-run transport handshake: the shm backend verifies cross-process
-  // visibility (peer checksums of every remote segment against ours); all
-  // master copies are final here — every processor and agent has joined.
-  transport_->EndRun();
 
   if (trace_log_) {
     // Fold ring counters into per-processor stats after the join (the join
@@ -490,11 +460,6 @@ void Runtime::Run(const std::function<void(Context&)>& body) {
     }
   }
   report_.total.counts[static_cast<int>(Counter::kDataBytes)] = hub_.DataBytes();
-  // Backend-global directory instrumentation (cumulative across Runs, like
-  // the hub byte counters above).
-  report_.total.counts[static_cast<int>(Counter::kDirCacheHits)] = dir_->CacheHits();
-  report_.total.counts[static_cast<int>(Counter::kDirSegmentsAllocated)] =
-      dir_->SegmentsAllocated();
   report_.exec_time_ns = *std::max_element(final_vt.begin(), final_vt.end());
 }
 

@@ -50,11 +50,7 @@ struct SyncShape {
 
 class Runtime : public FaultSink {
  public:
-  // `transport` optionally binds an externally-owned McTransport (it must
-  // outlive the Runtime); used when one transport spans several Runtimes,
-  // e.g. the auto-dilation rerun reusing a bootstrapped shm cluster. By
-  // default the Runtime builds its own from cfg.mc.transport.
-  explicit Runtime(Config cfg, SyncShape sync = {}, McTransport* transport = nullptr);
+  explicit Runtime(Config cfg, SyncShape sync = {});
   ~Runtime() override;
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -90,7 +86,6 @@ class Runtime : public FaultSink {
   const StatsReport& report() const { return report_; }
   const Config& config() const { return cfg_; }
   McHub& hub() { return hub_; }
-  McTransport& transport() { return *transport_; }
   CashmereProtocol& protocol() { return *protocol_; }
   HomeTable& homes() { return homes_; }
   // Non-null iff cfg.async.release: the per-unit coherence logs the cache
@@ -117,19 +112,13 @@ class Runtime : public FaultSink {
   void WatchdogLoop();
 
   Config cfg_;
-  // Transport precedes hub_: the hub binds it at construction. owned_ is
-  // null when the caller passed an external transport.
-  std::unique_ptr<McTransport> owned_transport_;
-  McTransport* transport_;
   McHub hub_;
   std::vector<std::unique_ptr<Arena>> arenas_;    // per unit
   std::vector<std::unique_ptr<View>> views_;      // per processor
   std::vector<std::unique_ptr<TwinPool>> twins_;  // per unit
   std::vector<std::unique_ptr<UnitState>> units_;
-  // homes_ precedes dir_: the sharded backend reads shard ownership from
-  // the home table (MakeDirectory takes it by reference at construction).
   HomeTable homes_;
-  std::unique_ptr<DirectoryBackend> dir_;
+  GlobalDirectory dir_;
   WriteNoticeBoard notices_;
   MessageLayer msg_;
   // Async release-path coherence (cfg.async.release): per-unit logs; the

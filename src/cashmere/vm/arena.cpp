@@ -19,18 +19,10 @@ Arena::Arena(std::size_t bytes, const char* name) : size_(bytes) {
   protocol_base_ = static_cast<std::byte*>(p);
 }
 
-Arena::Arena(int adopted_fd, std::size_t bytes) : fd_(adopted_fd), size_(bytes) {
-  CSM_CHECK(fd_ >= 0);
-  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
-  CSM_CHECK(p != MAP_FAILED);
-  protocol_base_ = static_cast<std::byte*>(p);
-}
-
 Arena::Arena(Arena&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       size_(std::exchange(other.size_, 0)),
-      protocol_base_(std::exchange(other.protocol_base_, nullptr)),
-      segment_(std::exchange(other.segment_, kInvalidSegment)) {}
+      protocol_base_(std::exchange(other.protocol_base_, nullptr)) {}
 
 Arena::~Arena() {
   if (protocol_base_ != nullptr) {

@@ -4,13 +4,6 @@
 // within an SMP node are kept hardware-coherent by the host, exactly as in
 // the paper's AlphaServers. The protocol itself accesses arenas through an
 // always-read-write mapping that never faults.
-//
-// Under the shm transport an arena's memfd may have been created by a
-// different OS process (the node's peer, fd-passed over the control plane)
-// and is mapped at an unrelated address there — so frames have two names:
-// the process-local pointer (PagePtr, the fast path) and the position-
-// independent PageFrameRef (FrameOf) carrying {segment id, byte offset},
-// valid across every process that mapped the segment.
 #ifndef CASHMERE_VM_ARENA_HPP_
 #define CASHMERE_VM_ARENA_HPP_
 
@@ -18,7 +11,6 @@
 #include <cstdint>
 
 #include "cashmere/common/types.hpp"
-#include "cashmere/mc/transport.hpp"
 
 namespace cashmere {
 
@@ -26,9 +18,6 @@ class Arena {
  public:
   // Creates a fresh memfd of `bytes` and maps it.
   Arena(std::size_t bytes, const char* name);
-  // Adopts an existing segment fd (takes ownership; e.g. a peer-created
-  // segment passed over the shm control plane) and maps it locally.
-  Arena(int adopted_fd, std::size_t bytes);
   ~Arena();
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
@@ -42,21 +31,10 @@ class Arena {
   std::byte* protocol_base() const { return protocol_base_; }
   std::byte* PagePtr(PageId page) const { return protocol_base_ + page * kPageBytes; }
 
-  // Transport segment identity, assigned when the runtime registers the
-  // arena with the bound McTransport (kInvalidSegment before that).
-  SegmentId segment() const { return segment_; }
-  void set_segment(SegmentId seg) { segment_ = seg; }
-  // Position-independent name of a page frame; resolve back to a pointer
-  // with McTransport::Resolve (inline, one indexed load).
-  PageFrameRef FrameOf(PageId page) const {
-    return PageFrameRef{segment_, static_cast<std::uint64_t>(page) * kPageBytes};
-  }
-
  private:
   int fd_ = -1;
   std::size_t size_ = 0;
   std::byte* protocol_base_ = nullptr;
-  SegmentId segment_ = kInvalidSegment;
 };
 
 }  // namespace cashmere

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <thread>
 
+#include "cashmere/apps/app.hpp"
 #include "cashmere/common/calibration.hpp"
 #include "cashmere/common/config.hpp"
 #include "cashmere/common/cost_model.hpp"
@@ -228,6 +229,38 @@ TEST(ConfigTest, DescribeMentionsProtocolAndShape) {
   const std::string d = cfg.Describe();
   EXPECT_NE(d.find("2LS"), std::string::npos);
   EXPECT_NE(d.find("8:2"), std::string::npos);
+}
+
+TEST(ConfigTest, ParseProtocolVariantRoundTripsNamesAndRejectsUnknown) {
+  for (const ProtocolVariant v :
+       {ProtocolVariant::kTwoLevel, ProtocolVariant::kTwoLevelShootdown,
+        ProtocolVariant::kTwoLevelGlobalLock, ProtocolVariant::kOneLevelDiff,
+        ProtocolVariant::kOneLevelWriteDouble}) {
+    ProtocolVariant parsed = ProtocolVariant::kTwoLevel;
+    ASSERT_TRUE(ParseProtocolVariant(ProtocolVariantName(v), &parsed))
+        << ProtocolVariantName(v);
+    EXPECT_EQ(parsed, v);
+  }
+  for (const char* bad : {"", "2l", "2L ", "2L-Lock", "1LDX", "?"}) {
+    ProtocolVariant out = ProtocolVariant::kOneLevelDiff;
+    EXPECT_FALSE(ParseProtocolVariant(bad, &out)) << "'" << bad << "'";
+    EXPECT_EQ(out, ProtocolVariant::kOneLevelDiff) << "rejected name wrote *out";
+  }
+}
+
+TEST(ConfigTest, ParseSizeClassAcceptsOnlyTheThreeSizes) {
+  int size = -1;
+  EXPECT_TRUE(ParseSizeClass("test", &size));
+  EXPECT_EQ(size, kSizeTest);
+  EXPECT_TRUE(ParseSizeClass("bench", &size));
+  EXPECT_EQ(size, kSizeBench);
+  EXPECT_TRUE(ParseSizeClass("large", &size));
+  EXPECT_EQ(size, kSizeLarge);
+  for (const char* bad : {"tset", "", "Test", "bench ", "huge"}) {
+    size = -1;
+    EXPECT_FALSE(ParseSizeClass(bad, &size)) << "'" << bad << "'";
+    EXPECT_EQ(size, -1);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,4 @@
-// Unit tests for the directory backends (replicated and sharded) and the
-// home table. The backend tests are parameterized over Config::dir.mode so
-// both implementations prove the same contract; sharded-only behavior
-// (lazy segments, entry cache, shard ownership) gets its own suite.
+// Unit tests for the replicated global directory and the home table.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +7,6 @@
 
 #include "cashmere/mc/hub.hpp"
 #include "cashmere/protocol/directory.hpp"
-#include "cashmere/protocol/directory_sharded.hpp"
 #include "cashmere/protocol/home_table.hpp"
 
 namespace cashmere {
@@ -56,50 +52,27 @@ TEST(DirWordTest, PackUnpackRoundTrip) {
   }
 }
 
-TEST(DirUpdateTraceArgTest, EncodesModeAndBytes) {
-  DirWord w = ExclWord(5);
-  DirWriteResult broadcast;
-  broadcast.wire_bytes = 16;
-  broadcast.p2p = false;
-  DirWriteResult p2p;
-  p2p.wire_bytes = 4;
-  p2p.p2p = true;
-
-  const std::uint32_t a0b = DirUpdateTraceArg(w, broadcast);
-  EXPECT_EQ(a0b & 0x7fffu, w.Pack());
-  EXPECT_FALSE(DecodeDirUpdateTraceArg(a0b).p2p);
-  EXPECT_EQ(DecodeDirUpdateTraceArg(a0b).wire_bytes, 16u);
-
-  const std::uint32_t a0p = DirUpdateTraceArg(w, p2p);
-  EXPECT_EQ(a0p & 0x7fffu, w.Pack());
-  EXPECT_TRUE(DecodeDirUpdateTraceArg(a0p).p2p);
-  EXPECT_EQ(DecodeDirUpdateTraceArg(a0p).wire_bytes, 4u);
-}
-
 TEST(ConfigValidateTest, RejectsClustersOverSixtyFourProcessors) {
   Config cfg = DirConfig(/*nodes=*/100, /*ppn=*/1);
   EXPECT_DEATH(cfg.Validate(), "excl_proc in 6 bits");
 }
 
-// --- Parameterized contract tests: both backends ---------------------------
+// --- Directory contract -----------------------------------------------------
 
-class DirectoryBackendTest : public ::testing::TestWithParam<DirMode> {
+class DirectoryTest : public ::testing::Test {
  protected:
   void Init(Config cfg) {
-    cfg.dir.mode = GetParam();
     cfg_ = cfg;
     hub_ = std::make_unique<McHub>(cfg_.units());
-    homes_ = std::make_unique<HomeTable>(cfg_);
-    dir_ = MakeDirectory(cfg_, *hub_, *homes_);
+    dir_ = std::make_unique<GlobalDirectory>(cfg_, *hub_);
   }
 
   Config cfg_;
   std::unique_ptr<McHub> hub_;
-  std::unique_ptr<HomeTable> homes_;
-  std::unique_ptr<DirectoryBackend> dir_;
+  std::unique_ptr<GlobalDirectory> dir_;
 };
 
-TEST_P(DirectoryBackendTest, WriteAndReadPerUnitWords) {
+TEST_F(DirectoryTest, WriteAndReadPerUnitWords) {
   Init(DirConfig());
   DirWord w;
   w.perm = Perm::kReadWrite;
@@ -109,7 +82,7 @@ TEST_P(DirectoryBackendTest, WriteAndReadPerUnitWords) {
   EXPECT_EQ(dir_->Read(2, 1).perm, Perm::kInvalid);
 }
 
-TEST_P(DirectoryBackendTest, SharersAndExclusiveQueries) {
+TEST_F(DirectoryTest, SharersAndExclusiveQueries) {
   Init(DirConfig());
   dir_->Write(0, 1, ReadWord());
   dir_->Write(0, 2, ExclWord(5));
@@ -117,9 +90,8 @@ TEST_P(DirectoryBackendTest, SharersAndExclusiveQueries) {
   EXPECT_TRUE(dir_->AnyOtherSharer(0, 0));
   EXPECT_TRUE(dir_->AnyOtherSharer(0, 1));
   EXPECT_FALSE(dir_->AnyOtherSharer(5, 0));
-  EXPECT_EQ(dir_->ExclusiveHolder(0, 0), 2);
-  EXPECT_EQ(dir_->ExclusiveHolder(1, 0), -1);
-  EXPECT_EQ(dir_->ExclusiveHolderFresh(0, 3), 2);
+  EXPECT_EQ(dir_->ExclusiveHolder(0), 2);
+  EXPECT_EQ(dir_->ExclusiveHolder(1), -1);
 
   UnitId sharers[kMaxProcs];
   const int n = dir_->Sharers(0, /*exclude=*/1, sharers);
@@ -127,27 +99,18 @@ TEST_P(DirectoryBackendTest, SharersAndExclusiveQueries) {
   EXPECT_EQ(sharers[0], 2);
 }
 
-TEST_P(DirectoryBackendTest, WriteResultShapeMatchesMode) {
+TEST_F(DirectoryTest, WriteBroadcastsOneWordPerReplica) {
   Init(DirConfig());
-  // Page 0's shard owner is unit 0 (round-robin homes): a write by unit 0
-  // is owner-local in sharded mode, a write by unit 1 crosses the wire.
-  const DirWriteResult local = dir_->Write(0, 0, ReadWord());
-  const DirWriteResult remote = dir_->Write(0, 1, ReadWord());
-  if (GetParam() == DirMode::kSharded) {
-    EXPECT_TRUE(local.p2p);
-    EXPECT_TRUE(remote.p2p);
-    EXPECT_EQ(local.wire_bytes, 0u);
-    EXPECT_EQ(remote.wire_bytes, kWordBytes);
-  } else {
-    EXPECT_FALSE(local.p2p);
-    EXPECT_FALSE(remote.p2p);
-    const auto broadcast = static_cast<std::uint32_t>(kWordBytes * cfg_.units());
-    EXPECT_EQ(local.wire_bytes, broadcast);
-    EXPECT_EQ(remote.wire_bytes, broadcast);
-  }
+  const auto broadcast = static_cast<std::uint64_t>(kWordBytes * cfg_.units());
+  dir_->Write(0, 0, ReadWord());
+  EXPECT_EQ(hub_->BytesSent(Traffic::kDirectory), broadcast);
+  std::uint32_t snap[kMaxProcs];
+  dir_->WriteAndSnapshot(0, 1, ReadWord(), snap);
+  EXPECT_EQ(hub_->BytesSent(Traffic::kDirectory), 2 * broadcast);
+  EXPECT_EQ(hub_->WritesSent(Traffic::kDirectory), 2u);
 }
 
-TEST_P(DirectoryBackendTest, SnapshotReflectsPriorWrites) {
+TEST_F(DirectoryTest, SnapshotReflectsPriorWrites) {
   Init(DirConfig());
   dir_->Write(4, 2, ReadWord());
   std::uint32_t snap[kMaxProcs];
@@ -157,7 +120,7 @@ TEST_P(DirectoryBackendTest, SnapshotReflectsPriorWrites) {
   EXPECT_EQ(DirWord::Unpack(snap[1]).perm, Perm::kInvalid);
 }
 
-TEST_P(DirectoryBackendTest, ConcurrentExclusiveClaimsAtMostOneWinner) {
+TEST_F(DirectoryTest, ConcurrentExclusiveClaimsAtMostOneWinner) {
   // The WriteAndSnapshot arbitration: of two units claiming exclusivity,
   // at most one can see a snapshot with no other sharer.
   for (int round = 0; round < 100; ++round) {
@@ -186,145 +149,6 @@ TEST_P(DirectoryBackendTest, ConcurrentExclusiveClaimsAtMostOneWinner) {
     t2.join();
     EXPECT_LE(winners.load(), 1);
   }
-}
-
-std::string ModeName(const ::testing::TestParamInfo<DirMode>& info) {
-  return info.param == DirMode::kSharded ? "Sharded" : "Replicated";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, DirectoryBackendTest,
-                         ::testing::Values(DirMode::kReplicated, DirMode::kSharded),
-                         ModeName);
-
-// --- Sharded-only behavior --------------------------------------------------
-
-class ShardedDirectoryTest : public ::testing::Test {
- protected:
-  void Init(Config cfg) {
-    cfg.dir.mode = DirMode::kSharded;
-    cfg_ = cfg;
-    hub_ = std::make_unique<McHub>(cfg_.units());
-    homes_ = std::make_unique<HomeTable>(cfg_);
-    dir_ = std::make_unique<ShardedDirectory>(cfg_, *hub_, *homes_);
-  }
-
-  Config cfg_;
-  std::unique_ptr<McHub> hub_;
-  std::unique_ptr<HomeTable> homes_;
-  std::unique_ptr<ShardedDirectory> dir_;
-};
-
-TEST_F(ShardedDirectoryTest, SegmentsAllocateLazily) {
-  Config cfg = DirConfig();
-  cfg.dir.segment_pages = 4;
-  Init(cfg);
-  EXPECT_EQ(dir_->SegmentsAllocated(), 0u);
-  const std::size_t untouched = dir_->ResidentBytes();
-
-  dir_->Write(0, 0, ReadWord());
-  EXPECT_EQ(dir_->SegmentsAllocated(), 1u);
-  dir_->Write(1, 0, ReadWord());  // same segment as page 0
-  EXPECT_EQ(dir_->SegmentsAllocated(), 1u);
-  dir_->Write(17, 0, ReadWord());  // pages [16, 20): a new segment
-  EXPECT_EQ(dir_->SegmentsAllocated(), 2u);
-
-  const std::size_t per_segment =
-      static_cast<std::size_t>(cfg.dir.segment_pages) * cfg_.units() * kWordBytes;
-  EXPECT_EQ(dir_->ResidentBytes(), untouched + 2 * per_segment);
-
-  // Reads of never-touched pages see all-invalid words and allocate nothing.
-  EXPECT_EQ(dir_->Read(25, 0).perm, Perm::kInvalid);
-  EXPECT_FALSE(dir_->AnyOtherSharer(25, 0));
-  EXPECT_EQ(dir_->SegmentsAllocated(), 2u);
-}
-
-TEST_F(ShardedDirectoryTest, ShardedResidentBytesBeatReplicatedOnSparseTouch) {
-  // The memory win is a large-arena property: segments scale with touched
-  // pages while the replicated backend pays pages x units on every unit.
-  Config cfg = DirConfig();
-  cfg.heap_bytes = std::size_t{1} << 25;  // 4096 pages
-  cfg.dir.cache_entries = 64;
-  Init(cfg);
-  McHub rep_hub(cfg_.units());
-  Config rep_cfg = cfg_;
-  GlobalDirectory replicated(rep_cfg, rep_hub);
-  dir_->Write(0, 0, ReadWord());  // touch one segment
-  EXPECT_LT(dir_->ResidentBytes(), replicated.ResidentBytes());
-}
-
-TEST_F(ShardedDirectoryTest, CachedQueriesServeHitsUntilInvalidated) {
-  Init(DirConfig());
-  const PageId page = 3;
-
-  dir_->Write(page, 1, ReadWord());
-  // First query from unit 0 misses and fills; the second hits.
-  EXPECT_TRUE(dir_->AnyOtherSharer(page, 0));
-  const std::uint64_t misses = dir_->CacheMisses();
-  EXPECT_TRUE(dir_->AnyOtherSharer(page, 0));
-  EXPECT_EQ(dir_->CacheMisses(), misses);
-  EXPECT_GE(dir_->CacheHits(), 1u);
-
-  // Unit 1 leaves the sharing set; unit 0's cached entry is stale (allowed
-  // by the freshness contract) until the write-notice path invalidates it.
-  DirWord gone;
-  dir_->Write(page, 1, gone);
-  EXPECT_TRUE(dir_->AnyOtherSharer(page, 0));  // stale cached answer
-  dir_->InvalidateCached(0, page);
-  EXPECT_FALSE(dir_->AnyOtherSharer(page, 0));  // refetched, fresh
-}
-
-TEST_F(ShardedDirectoryTest, ExclusiveHolderFreshBypassesStaleCache) {
-  Init(DirConfig());
-  const PageId page = 9;
-  EXPECT_EQ(dir_->ExclusiveHolder(page, 0), -1);  // caches the empty entry
-  dir_->Write(page, 2, ExclWord(5));
-  // The cached query may still say "no holder"; the fresh one must not.
-  EXPECT_EQ(dir_->ExclusiveHolderFresh(page, 0), 2);
-  // And the fresh lookup refreshed the cache for subsequent cached queries.
-  EXPECT_EQ(dir_->ExclusiveHolder(page, 0), 2);
-}
-
-TEST_F(ShardedDirectoryTest, OwnWordReadsStayExactThroughCache) {
-  Init(DirConfig());
-  const PageId page = 6;
-  EXPECT_EQ(dir_->Read(page, 0).perm, Perm::kInvalid);  // caches the entry
-  dir_->Write(page, 0, ReadWord());
-  // Write-through: the unit's own word is exact even on a cache hit.
-  EXPECT_EQ(dir_->Read(page, 0).perm, Perm::kRead);
-}
-
-TEST_F(ShardedDirectoryTest, SharersIsAuthoritativeDespiteStaleCache) {
-  Init(DirConfig());
-  const PageId page = 2;
-  UnitId sharers[kMaxProcs];
-  EXPECT_EQ(dir_->Sharers(page, 0, sharers), 0);  // also seeds nothing
-  EXPECT_FALSE(dir_->AnyOtherSharer(page, 0));    // caches the empty entry
-  dir_->Write(page, 3, ReadWord());
-  // The cached query is allowed to be stale; the release-path query is not.
-  const int n = dir_->Sharers(page, 0, sharers);
-  ASSERT_EQ(n, 1);
-  EXPECT_EQ(sharers[0], 3);
-}
-
-TEST_F(ShardedDirectoryTest, ShardOwnershipFollowsHomeRelocation) {
-  Config cfg = DirConfig(4, 1);  // 4 units, superpages of 8 pages
-  Init(cfg);
-  const PageId page = 17;  // superpage 2
-  EXPECT_EQ(dir_->ShardOwner(page), homes_->HomeOfPage(page));
-  EXPECT_EQ(dir_->ShardOwner(page), 2);
-
-  homes_->GlobalLock().Lock();
-  homes_->Relocate(2, 3);
-  homes_->GlobalLock().Unlock();
-  EXPECT_EQ(dir_->ShardOwner(page), 3);
-  EXPECT_EQ(dir_->ShardOwner(page), homes_->HomeOfPage(page));
-
-  // The entry is reachable across the move, and updates from the new owner
-  // are now owner-local (no wire bytes).
-  dir_->Write(page, 3, ReadWord());
-  const DirWriteResult res = dir_->Write(page, 3, ReadWord());
-  EXPECT_EQ(res.wire_bytes, 0u);
-  EXPECT_TRUE(dir_->AnyOtherSharer(page, 0));
 }
 
 // --- Home table -------------------------------------------------------------

@@ -1,14 +1,14 @@
-// Known-bad fixture: raw stores into a registered shared segment from
-// protocol code. PagePtr/protocol_base mint a raw pointer into an arena
-// segment — a store through it bypasses the McHub::Issue accounting funnel,
-// and under the shm backend silently assumes this process's mapping (the
-// same frame lives at a different address in every other node process).
-// Protocol code must name frames as PageFrameRef (Arena::FrameOf) and
-// resolve through McTransport::Resolve.
+// Known-bad fixture: raw stores into a unit's arena from protocol code.
+// PagePtr/protocol_base mint a raw pointer into an arena frame, and a store
+// through it bypasses the McHub::Issue accounting funnel. Protocol code
+// must take frames from its frame accessors (CashmereProtocol::MasterPtr /
+// WorkingPtr; RelocateSuperpage moves master frames), the only functions
+// outside mc/ that may mint one.
 //
 // csm-lint-domain: protocol
 // csm-lint-expect: raw-mc-write  (PagePtr call minting the raw pointer)
 // csm-lint-expect: raw-mc-write  (protocol_base arithmetic doing the same)
+// (CashmereProtocol::MasterPtr below is a frame accessor and stays clean.)
 #include <cstddef>
 #include <cstdint>
 
@@ -22,9 +22,19 @@ struct FakeArena {
 void StoreWord32Release(void* p, std::uint32_t v);
 
 void BadDirectStores(const FakeArena& arena, std::uint32_t page) {
-  std::byte* frame = arena.PagePtr(page);  // raw pointer into the segment
+  std::byte* frame = arena.PagePtr(page);  // raw pointer into the frame
   StoreWord32Release(frame, 1u);
   StoreWord32Release(arena.protocol_base() + 64, 2u);  // same, by hand
+}
+
+// The frame accessor itself may mint the pointer: no finding here.
+class CashmereProtocol {
+ public:
+  std::byte* MasterPtr(const FakeArena& arena, std::uint32_t page) const;
+};
+
+std::byte* CashmereProtocol::MasterPtr(const FakeArena& arena, std::uint32_t page) const {
+  return arena.PagePtr(page);
 }
 
 }  // namespace fixture

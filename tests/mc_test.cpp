@@ -1,12 +1,15 @@
-// Unit tests for the Memory Channel layer: word atomicity, ordered
-// broadcast, traffic accounting through the single Issue() funnel, and the
-// lock-array use case the synchronization layer depends on.
+// Unit tests for the Memory Channel layer: word atomicity, stream and run
+// scatter parity against plain memcpy, the total order of the ordered
+// broadcast/exchange pair, traffic accounting through the single Issue()
+// funnel, and the lock-array use case the synchronization layer depends on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
+#include "cashmere/common/rng.hpp"
 #include "cashmere/mc/hub.hpp"
 
 namespace cashmere {
@@ -60,16 +63,115 @@ TEST(McHubTest, OrderedExchangeReturnsPrevious) {
   EXPECT_EQ(LoadWord32(&word), 22u);
 }
 
-// Regression pin for the Issue() refactor: the per-call accounting that
+TEST(McHubTest, StreamMatchesMemcpy) {
+  constexpr std::size_t kWords = 777;
+  std::vector<std::uint32_t> src(kWords);
+  SplitMix64 rng(11);
+  for (auto& w : src) {
+    w = static_cast<std::uint32_t>(rng.Next());
+  }
+  std::vector<std::uint32_t> dst(kWords, 0);
+  McHub hub(4);
+  hub.Issue(McOp::Stream(dst.data(), src.data(), kWords, Traffic::kPageData));
+  EXPECT_EQ(std::memcmp(dst.data(), src.data(), kWords * kWordBytes), 0);
+}
+
+TEST(McHubTest, RunScatterMatchesMemcpy) {
+  constexpr std::size_t kBaseWords = 512;
+  std::vector<std::uint32_t> base(kBaseWords, 0u);
+  std::vector<std::uint32_t> expect(kBaseWords, 0u);
+  SplitMix64 rng(12);
+  McHub hub(4);
+  // A handful of RLE runs at random offsets; the reference applies each with
+  // plain memcpy at the same word offset.
+  for (int r = 0; r < 16; ++r) {
+    const std::size_t off = rng.NextBelow(kBaseWords - 32);
+    const std::size_t n = 1 + rng.NextBelow(31);
+    std::vector<std::uint32_t> payload(n);
+    for (auto& w : payload) {
+      w = static_cast<std::uint32_t>(rng.Next());
+    }
+    hub.Issue(McOp::Run(base.data(), off, payload.data(), n, Traffic::kDiffData));
+    std::memcpy(expect.data() + off, payload.data(), n * kWordBytes);
+  }
+  EXPECT_EQ(std::memcmp(base.data(), expect.data(), kBaseWords * kWordBytes), 0);
+}
+
+// The ordered pair must behave as one globally-ordered sequence: concurrent
+// exchanges from many threads hand the location's history around as a chain
+// of (previous -> new) links. If and only if every exchange is atomic within
+// a single total order, walking the chain back from the final value visits
+// every injected value exactly once and terminates at the initial 0.
+TEST(McHubTest, ConcurrentExchangesFormOneTotalOrder) {
+  constexpr int kThreads = 8;
+  constexpr int kIters = 200;
+  McHub hub(4);
+  std::uint32_t loc = 0;
+  // prev_of[v] = value the exchange that installed v observed.
+  std::vector<std::uint32_t> prev_of(
+      static_cast<std::size_t>(kThreads * kIters) + 1, 0);
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      for (int i = 0; i < kIters; ++i) {
+        const std::uint32_t v =
+            static_cast<std::uint32_t>(th * kIters + i) + 1;  // unique, nonzero
+        prev_of[v] = hub.Issue(McOp::Exchange(&loc, v, Traffic::kSyncObject));
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  std::vector<bool> seen(prev_of.size(), false);
+  std::uint32_t v = loc;
+  std::size_t visited = 0;
+  while (v != 0) {
+    ASSERT_LT(v, prev_of.size());
+    ASSERT_FALSE(seen[v]) << "value " << v << " appears twice in the chain";
+    seen[v] = true;
+    ++visited;
+    v = prev_of[v];
+  }
+  EXPECT_EQ(visited, static_cast<std::size_t>(kThreads * kIters));
+}
+
+// Concurrent ordered broadcasts must each be atomic against the exchanges
+// (same global order): the final value is one of the injected values.
+TEST(McHubTest, BroadcastsSerializeAgainstExchanges) {
+  constexpr int kThreads = 6;
+  constexpr int kIters = 300;
+  McHub hub(4);
+  std::uint32_t loc = 0;
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      for (int i = 0; i < kIters; ++i) {
+        const std::uint32_t v = static_cast<std::uint32_t>(th * kIters + i) + 1;
+        if (th % 2 == 0) {
+          hub.Issue(McOp::Broadcast(&loc, v, Traffic::kSyncObject));
+        } else {
+          hub.Issue(McOp::Exchange(&loc, v, Traffic::kSyncObject));
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_GE(loc, 1u);
+  EXPECT_LE(loc, static_cast<std::uint32_t>(kThreads * kIters));
+}
+
+// Regression pin for the Issue() funnel: the per-call accounting that
 // used to live in Write32/WriteStream/WriteRun/OrderedBroadcast32/
-// OrderedExchange32 now derives from McOp::WireBytes in one funnel. This
-// fixed op sequence must charge exactly the bytes and write counts the
-// per-method arithmetic charged before the transport seam existed —
-// deterministic-app counter reports stay byte-identical iff this holds.
+// OrderedExchange32 derives from McOp::WireBytes. This fixed op sequence
+// must charge exactly the bytes and write counts the per-method arithmetic
+// charged — deterministic-app counter reports stay byte-identical iff this
+// holds.
 TEST(McHubTest, InprocCountersMatchPrePluggableAccounting) {
   constexpr int kUnits = 8;
   McHub hub(kUnits);
-  EXPECT_STREQ(hub.transport().name(), "inproc");
 
   std::uint32_t word = 0;
   std::vector<std::uint32_t> page(kWordsPerPage, 0);

@@ -192,6 +192,31 @@ TEST(RuntimeTraceTest, StatsExposeRingCounters) {
   EXPECT_EQ(report.total.Get(Counter::kTraceDrops), rt.trace_log()->TotalDropped());
 }
 
+// Every directory update emits one kDirUpdate whose a0 is the packed
+// DirWord the unit wrote (the contention report counts these per page).
+TEST(RuntimeTraceTest, DirUpdateCarriesPackedWord) {
+  Runtime rt(TracedConfig(1 << 14));
+  const GlobalAddr a = rt.AllocArray<int>(4096);
+  rt.Run([&](Context& ctx) {
+    int* p = ctx.Ptr<int>(a);
+    for (int i = ctx.proc(); i < 4096; i += ctx.total_procs()) {
+      p[i] = i;
+    }
+    ctx.Barrier(0);
+  });
+  ASSERT_EQ(rt.trace_log()->TotalDropped(), 0u);
+  std::uint64_t updates = 0;
+  for (const TraceEvent& e : rt.trace_log()->Merged()) {
+    if (static_cast<EventKind>(e.kind) != EventKind::kDirUpdate) {
+      continue;
+    }
+    ++updates;
+    EXPECT_EQ(DirWord::Unpack(e.a0).Pack(), e.a0);
+  }
+  EXPECT_GT(updates, 0u);
+  EXPECT_EQ(updates, rt.report().total.Get(Counter::kDirectoryUpdates));
+}
+
 TEST(RuntimeTraceTest, TinyRingsWrapAndReportDrops) {
   const Config cfg = TracedConfig(/*ring_events=*/8);
   Runtime rt(cfg);

@@ -2,11 +2,12 @@
 //
 //   cashmere_run --app SOR --protocol 2L --procs 32 --ppn 4 [--size bench]
 //                [--home-opt] [--interrupts] [--no-first-touch]
-//                [--cost-scale auto|<float>] [--verbose]
+//                [--cost-scale auto|<positive number>] [--no-async]
 //
 // Runs one application under one configuration, verifies it against the
 // sequential reference, and prints the Table-3-style statistics, the
 // Figure-6 time breakdown and the speedup.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,26 +32,26 @@ using namespace cashmere;
                "          [--protocol 2L|2LS|2L-lock|1LD|1L] [--procs N] [--ppn N]\n"
                "          [--size test|bench|large] [--home-opt] [--interrupts]\n"
                "          [--no-first-touch] [--no-async]\n"
-               "          [--dir replicated|sharded] [--cost-scale auto|<float>]\n"
-               "          [--transport inproc|shm] [--list]\n"
-               "  (CSM_TRANSPORT=inproc|shm sets the default backend; the flag\n"
-               "   wins. shm under tools/cashmere_launch spans OS processes.)\n",
+               "          [--cost-scale auto|<positive number>] [--list]\n",
                argv0, names.c_str());
   std::exit(2);
 }
 
-bool ParseProtocol(const char* name, ProtocolVariant* out) {
-  const ProtocolVariant all[] = {
-      ProtocolVariant::kTwoLevel, ProtocolVariant::kTwoLevelShootdown,
-      ProtocolVariant::kTwoLevelGlobalLock, ProtocolVariant::kOneLevelDiff,
-      ProtocolVariant::kOneLevelWriteDouble};
-  for (const ProtocolVariant v : all) {
-    if (std::strcmp(ProtocolVariantName(v), name) == 0) {
-      *out = v;
-      return true;
-    }
+// "auto" -> 0 (auto-calibrate); otherwise the whole argument must parse as
+// a positive finite number. False on anything else, e.g. "1,0", which atof
+// would have read as 0 and silently turned into an auto-calibration probe.
+bool ParseCostScale(const char* s, double* out) {
+  if (std::strcmp(s, "auto") == 0) {
+    *out = 0.0;
+    return true;
   }
-  return false;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 }  // namespace
@@ -63,15 +64,6 @@ int main(int argc, char** argv) {
   int procs = 32;
   int ppn = 4;
   int size_class = kSizeBench;
-
-  // Environment default first, so cashmere_launch can select the shm
-  // backend without rewriting the lead's command line; an explicit
-  // --transport flag overrides it below.
-  if (!ApplyTransportEnv(&cfg)) {
-    std::fprintf(stderr, "unknown CSM_TRANSPORT '%s' (want inproc|shm)\n",
-                 std::getenv("CSM_TRANSPORT"));
-    return 2;
-  }
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -87,7 +79,7 @@ int main(int argc, char** argv) {
       }
       have_app = true;
     } else if (arg == "--protocol") {
-      if (!ParseProtocol(next(), &cfg.protocol)) {
+      if (!ParseProtocolVariant(next(), &cfg.protocol)) {
         Usage(argv[0]);
       }
     } else if (arg == "--procs") {
@@ -95,8 +87,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--ppn") {
       ppn = std::atoi(next());
     } else if (arg == "--size") {
-      const std::string s = next();
-      size_class = s == "test" ? kSizeTest : s == "large" ? kSizeLarge : kSizeBench;
+      if (!ParseSizeClass(next(), &size_class)) {
+        Usage(argv[0]);
+      }
     } else if (arg == "--home-opt") {
       cfg.home_opt = true;
     } else if (arg == "--interrupts") {
@@ -105,20 +98,8 @@ int main(int argc, char** argv) {
       cfg.first_touch = false;
     } else if (arg == "--no-async") {
       cfg.async.release = false;
-    } else if (arg == "--dir") {
-      const std::string s = next();
-      if (s == "sharded") {
-        cfg.dir.mode = DirMode::kSharded;
-      } else if (s == "replicated") {
-        cfg.dir.mode = DirMode::kReplicated;
-      } else {
-        Usage(argv[0]);
-      }
     } else if (arg == "--cost-scale") {
-      const std::string s = next();
-      cfg.cost.scale = s == "auto" ? 0.0 : std::atof(s.c_str());
-    } else if (arg == "--transport") {
-      if (!ParseTransportKind(next(), &cfg.mc.transport)) {
+      if (!ParseCostScale(next(), &cfg.cost.scale)) {
         Usage(argv[0]);
       }
     } else if (arg == "--list") {
@@ -150,12 +131,6 @@ int main(int argc, char** argv) {
   std::printf("  sequential (Alpha-equivalent): %.4f s\n", r.seq_alpha_seconds);
   std::printf("  parallel (virtual):            %.4f s\n", r.report.ExecTimeSec());
   std::printf("  speedup:                       %.2f\n", r.speedup);
-  if (cfg.mc.transport == McTransportKind::kShm) {
-    std::printf("  shm wire time (wall clock):    %.4f s\n",
-                static_cast<double>(r.wire_ns) / 1e9);
-    std::printf("  shm peer segments:             %s\n",
-                r.transport_verified ? "verified" : "CHECKSUM MISMATCH");
-  }
   std::printf("\n");
   std::printf("%s", r.report.ToString().c_str());
   return r.verified ? 0 : 1;

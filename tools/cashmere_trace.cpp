@@ -16,10 +16,10 @@
 //   cashmere_trace contention --app SOR [--top 10] [...run options...]
 //
 // Page contention ranks by protocol traffic per page (faults + transfers +
-// diffs + write notices); per-page directory-update columns break the
-// page's directory traffic into broadcast vs point-to-point updates and
-// wire bytes (decoded from kDirUpdate's a0). Lock contention ranks by
-// acquire count and the number of distinct acquiring processors.
+// diffs + write notices); a per-page column counts the page's directory
+// updates (kDirUpdate events), each one ordered broadcast to every unit's
+// replica. Lock contention ranks by acquire count and the number of
+// distinct acquiring processors.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -30,7 +30,6 @@
 
 #include "cashmere/apps/app.hpp"
 #include "cashmere/common/trace_check.hpp"
-#include "cashmere/protocol/directory.hpp"
 
 namespace {
 
@@ -48,7 +47,6 @@ using namespace cashmere;
                "usage: %s [contention] --app <%s>\n"
                "          [--protocol 2L|2LS|2L-lock|1LD|1L] [--procs N] [--ppn N]\n"
                "          [--size test|bench|large] [--ring-events N] [--no-async]\n"
-               "          [--dir replicated|sharded]\n"
                "          [--json <file>] [--no-check] [--top N]\n",
                argv0, names.c_str());
   std::exit(2);
@@ -62,9 +60,7 @@ struct PageContention {
   std::uint64_t transfers = 0;  // kPageCopy
   std::uint64_t diffs = 0;      // kDiffApplyIncoming + kDiffApplyOutgoing
   std::uint64_t notices = 0;    // kWnPost
-  std::uint64_t dir_bcast = 0;  // kDirUpdate, broadcast (replicated backend)
-  std::uint64_t dir_p2p = 0;    // kDirUpdate, point-to-point (sharded)
-  std::uint64_t dir_bytes = 0;  // directory wire bytes for this page
+  std::uint64_t dir_updates = 0;  // kDirUpdate
   std::uint64_t procs = 0;      // distinct rows that faulted on the page
   std::uint64_t total() const { return faults + transfers + diffs + notices; }
 };
@@ -116,11 +112,8 @@ void ReportContention(const std::vector<TraceEvent>& merged, int top) {
         break;
       case EventKind::kDirUpdate:
         if (e.page != kNoTracePage) {
-          PageContention& pc = pages[e.page];
-          pc.page = e.page;
-          const DirUpdateTraceInfo info = DecodeDirUpdateTraceArg(e.a0);
-          ++(info.p2p ? pc.dir_p2p : pc.dir_bcast);
-          pc.dir_bytes += info.wire_bytes;
+          pages[e.page].page = e.page;
+          ++pages[e.page].dir_updates;
         }
         break;
       case EventKind::kLockAcquire: {
@@ -171,17 +164,15 @@ void ReportContention(const std::vector<TraceEvent>& merged, int top) {
             });
 
   std::printf("\ntop %d contended pages (of %zu with traffic):\n", top, page_rank.size());
-  std::printf("  %-8s %8s %8s %8s %8s %8s %8s %8s %9s %8s\n", "page", "total",
-              "faults", "copies", "diffs", "notices", "dirBcast", "dirP2P",
-              "dirBytes", "procs");
+  std::printf("  %-8s %8s %8s %8s %8s %8s %8s %8s\n", "page", "total", "faults",
+              "copies", "diffs", "notices", "dirUpd", "procs");
   for (std::size_t i = 0; i < page_rank.size() && i < static_cast<std::size_t>(top);
        ++i) {
     const PageContention& pc = page_rank[i];
-    std::printf("  %-8u %8llu %8llu %8llu %8llu %8llu %8llu %8llu %9llu %8llu\n",
-                pc.page, (unsigned long long)pc.total(), (unsigned long long)pc.faults,
+    std::printf("  %-8u %8llu %8llu %8llu %8llu %8llu %8llu %8llu\n", pc.page,
+                (unsigned long long)pc.total(), (unsigned long long)pc.faults,
                 (unsigned long long)pc.transfers, (unsigned long long)pc.diffs,
-                (unsigned long long)pc.notices, (unsigned long long)pc.dir_bcast,
-                (unsigned long long)pc.dir_p2p, (unsigned long long)pc.dir_bytes,
+                (unsigned long long)pc.notices, (unsigned long long)pc.dir_updates,
                 (unsigned long long)pc.procs);
   }
   std::printf("\ntop %d contended locks (of %zu acquired):\n", top, lock_rank.size());
@@ -192,20 +183,6 @@ void ReportContention(const std::vector<TraceEvent>& merged, int top) {
     std::printf("  %-8u %8llu %8llu %12.3f\n", lc.id, (unsigned long long)lc.acquires,
                 (unsigned long long)lc.procs, static_cast<double>(lc.hold_ns) / 1e6);
   }
-}
-
-bool ParseProtocol(const char* name, ProtocolVariant* out) {
-  const ProtocolVariant all[] = {
-      ProtocolVariant::kTwoLevel, ProtocolVariant::kTwoLevelShootdown,
-      ProtocolVariant::kTwoLevelGlobalLock, ProtocolVariant::kOneLevelDiff,
-      ProtocolVariant::kOneLevelWriteDouble};
-  for (const ProtocolVariant v : all) {
-    if (std::strcmp(ProtocolVariantName(v), name) == 0) {
-      *out = v;
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -220,13 +197,6 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.cost.scale = 1.0;  // counters, not modeled time, are what tracing reads
   cfg.trace.enabled = true;
-  // Honor CSM_TRANSPORT so the shm-smoke CI job can push a launched
-  // cluster's run through the trace checker unchanged.
-  if (!ApplyTransportEnv(&cfg)) {
-    std::fprintf(stderr, "unknown CSM_TRANSPORT '%s' (want inproc|shm)\n",
-                 std::getenv("CSM_TRANSPORT"));
-    return 2;
-  }
   int procs = 32;
   int ppn = 4;
   int size_class = kSizeTest;
@@ -250,7 +220,7 @@ int main(int argc, char** argv) {
       }
       have_app = true;
     } else if (arg == "--protocol") {
-      if (!ParseProtocol(next(), &cfg.protocol)) {
+      if (!ParseProtocolVariant(next(), &cfg.protocol)) {
         Usage(argv[0]);
       }
     } else if (arg == "--procs") {
@@ -258,8 +228,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--ppn") {
       ppn = std::atoi(next());
     } else if (arg == "--size") {
-      const std::string s = next();
-      size_class = s == "test" ? kSizeTest : s == "large" ? kSizeLarge : kSizeBench;
+      if (!ParseSizeClass(next(), &size_class)) {
+        Usage(argv[0]);
+      }
     } else if (arg == "--ring-events") {
       cfg.trace.ring_events = static_cast<std::uint32_t>(std::atoi(next()));
     } else if (arg == "--json") {
@@ -268,15 +239,6 @@ int main(int argc, char** argv) {
       check = false;
     } else if (arg == "--no-async") {
       cfg.async.release = false;
-    } else if (arg == "--dir") {
-      const std::string s = next();
-      if (s == "sharded") {
-        cfg.dir.mode = DirMode::kSharded;
-      } else if (s == "replicated") {
-        cfg.dir.mode = DirMode::kReplicated;
-      } else {
-        Usage(argv[0]);
-      }
     } else if (arg == "--top") {
       top = std::atoi(next());
     } else {

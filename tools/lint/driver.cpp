@@ -49,8 +49,8 @@ std::vector<fs::path> CollectFiles(const std::vector<std::string>& roots) {
 
 void RunAllRules(Universe& u, std::vector<Finding>* findings) {
   u.BuildCallGraph();
-  for (FileUnit& f : u.files) {
-    RunFileLocalRules(f, findings);
+  for (std::size_t fi = 0; fi < u.files.size(); ++fi) {
+    RunFileLocalRules(u, static_cast<int>(fi), findings);
   }
   RunInterprocRules(u, findings);
   RunStaleWaiverRule(u, findings);

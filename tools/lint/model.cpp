@@ -99,15 +99,14 @@ std::size_t SkipAngles(const std::vector<Token>& t, std::size_t i,
 }
 
 // Declared-type map for the lock classifier: scans a token range for
-// "PageLocal[&*] name" / "CacheEntry[&*] name" declarations (parameters
-// and locals — the codebase declares both explicitly, pinned by the clang
-// thread-safety annotations which need the same explicitness).
+// "PageLocal[&*] name" declarations (parameters and locals — the codebase
+// declares both explicitly, pinned by the clang thread-safety annotations
+// which need the same explicitness).
 std::map<std::string, std::string> CollectTypes(const std::vector<Token>& t,
                                                 std::size_t b, std::size_t e) {
   std::map<std::string, std::string> types;
   for (std::size_t i = b; i + 1 < e; ++i) {
-    if (t[i].kind != TokKind::kIdent ||
-        (t[i].text != "PageLocal" && t[i].text != "CacheEntry")) {
+    if (t[i].kind != TokKind::kIdent || t[i].text != "PageLocal") {
       continue;
     }
     std::size_t j = i + 1;
@@ -141,16 +140,14 @@ LockClass ClassifyLockExpr(const std::vector<Token>& t, std::size_t b,
     if (n == "order_lock_") {
       return LockClass::kMcOrder;
     }
-    if (n == "OrderLockFor" || n == "order_locks_" || n == "OrderLock") {
+    if (n == "write_order_lock_") {
       return LockClass::kDirStripe;
     }
     if (n == "lock") {
       if (i >= b + 2 && (IsP(t, i - 1, ".") || IsP(t, i - 1, "->")) &&
           t[i - 2].kind == TokKind::kIdent) {
-        const auto it = types.find(t[i - 2].text);
-        if (it != types.end()) {
-          return it->second == "PageLocal" ? LockClass::kPage
-                                          : LockClass::kDirEntryCache;
+        if (types.count(t[i - 2].text) != 0) {
+          return LockClass::kPage;
         }
       } else if (e - b == 1 && class_name == "PageLocal") {
         // Bare `lock` in PageLocal's own inline annotations.
@@ -541,14 +538,10 @@ void AnalyzeBody(const FileUnit& f, Function& fn) {
       continue;
     }
     // RAII guard declaration: SpinLockGuard name(lock-expr);
-    if ((tok.text == "SpinLockGuard" || tok.text == "SharedWordLockGuard") &&
-        i + 2 < fn.body_end && t[i + 1].kind == TokKind::kIdent &&
-        IsP(t, i + 2, "(")) {
+    if (tok.text == "SpinLockGuard" && i + 2 < fn.body_end &&
+        t[i + 1].kind == TokKind::kIdent && IsP(t, i + 2, "(")) {
       const std::size_t close = SkipGroup(t, i + 2, fn.body_end, "(", ")");
-      const LockClass cls =
-          tok.text == "SharedWordLockGuard"
-              ? LockClass::kMcOrder
-              : ClassifyLockExpr(t, i + 3, close - 1, types, fn.class_name);
+      const LockClass cls = ClassifyLockExpr(t, i + 3, close - 1, types, fn.class_name);
       fn.acquires.push_back(AcquireSite{cls, tok.line, snapshot()});
       if (cls != LockClass::kUnknown) {
         held.push_back(Held{cls, depth, false});
@@ -613,8 +606,6 @@ const char* LockClassName(LockClass c) {
       return "mc-order";
     case LockClass::kDirStripe:
       return "dir-stripe";
-    case LockClass::kDirEntryCache:
-      return "dir-entry-cache";
     case LockClass::kUnknown:
       return "unknown";
   }
@@ -654,7 +645,6 @@ bool LoadFileUnit(const std::filesystem::path& path, const std::string& display,
   out->vm_dir = generic.find("/vm/") != std::string::npos;
   out->mc_dir = generic.find("/mc/") != std::string::npos;
   out->dir_home = name == "directory.cpp" || name == "directory.hpp";
-  out->dir_sharded = name.rfind("directory_sharded", 0) == 0;
 
   // Directives and waivers live in comments only: a string literal can no
   // longer fake (or accidentally carry) either.
@@ -669,12 +659,10 @@ bool LoadFileUnit(const std::filesystem::path& path, const std::string& display,
     if (at != std::string::npos) {
       const std::string domain = Trimmed(c.substr(at + kDomain.size()));
       out->copy_domain = domain == "protocol" || domain == "mc" ||
-                         domain == "msg" || domain == "vm" ||
-                         domain == "dir-sharded";
+                         domain == "msg" || domain == "vm";
       out->fault_path = domain == "fault-path";
       out->vm_dir = domain == "vm";
       out->mc_dir = domain == "mc";
-      out->dir_sharded = domain == "dir-sharded";
     }
     at = c.find(kExpect);
     if (at != std::string::npos) {

@@ -24,7 +24,7 @@
 
 namespace csmlint {
 
-// The six documented lock classes (docs/concurrency.md "Lock ordering")
+// The five documented lock classes (docs/concurrency.md "Lock ordering")
 // plus kUnknown for everything the table does not govern. THIS ENUM IS THE
 // MACHINE-READABLE LOCK TABLE: the ordering discipline itself is uniform —
 // kPage may be held while acquiring anything (including another kPage, the
@@ -36,9 +36,8 @@ enum class LockClass {
   kPage,          // per-page PageLocal::lock
   kViewCommit,    // per-view commit_lock_ (vm/view.hpp)
   kLogProducer,   // per-unit CoherenceLog producer_lock_
-  kMcOrder,       // MC ordered-op lock (order_lock_ / SharedWordLock)
-  kDirStripe,     // sharded directory 64-way order-lock stripe / OrderLock()
-  kDirEntryCache, // sharded directory per-slot CacheEntry::lock
+  kMcOrder,       // MC hub ordered-op lock (order_lock_)
+  kDirStripe,     // directory write-order lock (write_order_lock_)
   kUnknown,       // not one of the documented classes; never checked
 };
 
@@ -63,7 +62,6 @@ struct FileUnit {
   bool vm_dir = false;
   bool mc_dir = false;
   bool dir_home = false;  // directory.{cpp,hpp}
-  bool dir_sharded = false;
   bool interproc = false;  // participates in the call graph
   std::vector<std::string> expects;  // fixture rule expectations
   bool expects_none = false;         // `csm-lint-expect: none`

@@ -98,9 +98,20 @@ bool BadWordCast(const std::string& type) {
   return false;
 }
 
+// raw-mc-write's sanctioned sites: the protocol's frame accessors and the
+// superpage relocation that moves master frames between arenas. Every other
+// frame access goes through the accessors.
+bool FrameAccessor(const std::string& qualified) {
+  static const std::set<std::string> kAccessors = {
+      "CashmereProtocol::MasterPtr", "CashmereProtocol::WorkingPtr",
+      "CashmereProtocol::RelocateSuperpage"};
+  return kAccessors.count(qualified) != 0;
+}
+
 }  // namespace
 
-void RunFileLocalRules(FileUnit& f, std::vector<Finding>* out) {
+void RunFileLocalRules(Universe& u, int file, std::vector<Finding>* out) {
+  FileUnit& f = u.files[static_cast<std::size_t>(file)];
   // Unjustified waivers are findings themselves (and never suppress), so a
   // rubber stamp cannot silence the pass.
   for (const Waiver& w : f.waivers) {
@@ -126,6 +137,18 @@ void RunFileLocalRules(FileUnit& f, std::vector<Finding>* out) {
     out->push_back(Finding{f.path, line0 + 1, rule, text});
   };
 
+  // Token ranges of the frame-accessor bodies in this file.
+  std::vector<std::pair<std::size_t, std::size_t>> accessor_bodies;
+  for (const Function& fn : u.fns) {
+    if (fn.file == file && FrameAccessor(fn.qualified)) {
+      accessor_bodies.emplace_back(fn.body_begin, fn.body_end);
+    }
+  }
+  auto in_accessor = [&](std::size_t i) {
+    return std::any_of(accessor_bodies.begin(), accessor_bodies.end(),
+                       [i](const auto& r) { return i >= r.first && i < r.second; });
+  };
+
   const std::vector<Token>& t = f.lex.tokens;
   for (std::size_t i = 0; i < t.size(); ++i) {
     if (t[i].kind != TokKind::kIdent) {
@@ -144,19 +167,16 @@ void RunFileLocalRules(FileUnit& f, std::vector<Finding>* out) {
         IsP(t, i + 1, "(")) {
       report(line, "raw-view-protect");
     }
-    // raw-mc-write: minting a raw segment pointer outside mc/.
+    // raw-mc-write: minting a raw frame pointer outside mc/ and the
+    // protocol's frame accessors.
     if (f.copy_domain && !f.mc_dir && (n == "PagePtr" || n == "protocol_base") &&
-        IsMemberAccess(t, i) && IsP(t, i + 1, "(")) {
+        IsMemberAccess(t, i) && IsP(t, i + 1, "(") && !in_accessor(i)) {
       report(line, "raw-mc-write");
     }
     // raw-dir-write: directory mutations outside directory.{cpp,hpp}.
     if (f.copy_domain && !f.dir_home &&
         (n == "Write" || n == "WriteAndSnapshot") && IsMemberAccess(t, i) &&
         IsP(t, i + 1, "(")) {
-      report(line, "raw-dir-write");
-    }
-    // Sharded backend: entry-word stores outside the Write funnel.
-    if (f.dir_sharded && n == "StoreWord32") {
       report(line, "raw-dir-write");
     }
     if (f.copy_domain) {
@@ -265,9 +285,7 @@ bool SignalSafeHelper(const Universe& u, const Function& fn) {
     return true;
   }
   static const std::set<std::string> kClasses = {
-      "SpinLock",       "SpinLockGuard", "SharedWordLock",
-      "SharedWordLockGuard", "Backoff",  "TraceRing",
-      "OwnerCell",
+      "SpinLock", "SpinLockGuard", "Backoff", "TraceRing", "OwnerCell",
   };
   if (kClasses.count(fn.class_name) != 0) {
     return true;

@@ -21,8 +21,10 @@ struct Finding {
 // fault-path-blocking, raw-view-protect, raw-dir-write, raw-mc-write,
 // bad-waiver), re-hosted on the token stream: occurrences inside comments,
 // string literals, and preprocessor lines cannot fire. At most one finding
-// per (line, rule). Marks used waivers on `f`.
-void RunFileLocalRules(FileUnit& f, std::vector<Finding>* out);
+// per (line, rule). Marks used waivers on the file. Requires
+// u.BuildCallGraph() to have run (raw-mc-write exempts the protocol's frame
+// accessors by function body).
+void RunFileLocalRules(Universe& u, int file, std::vector<Finding>* out);
 
 // The interprocedural rules over a built call graph:
 //   lock-order                 acquisitions (direct or via a resolved call
