@@ -63,6 +63,23 @@ TEST(McHubTest, OrderedExchangeReturnsPrevious) {
   EXPECT_EQ(LoadWord32(&word), 22u);
 }
 
+TEST(McHubTest, WordWriteStores) {
+  McHub hub(4);
+  std::uint32_t word = 0;
+  EXPECT_EQ(hub.Issue(McOp::Word(&word, 0xdeadbeefu, Traffic::kDirectory)), 0u);
+  EXPECT_EQ(word, 0xdeadbeefu);
+}
+
+TEST(McHubTest, BroadcastStoresAndExchangeReturnsPrevious) {
+  McHub hub(4);
+  std::uint32_t loc = 0;
+  hub.Issue(McOp::Broadcast(&loc, 41, Traffic::kSyncObject));
+  EXPECT_EQ(loc, 41u);
+  EXPECT_EQ(hub.Issue(McOp::Exchange(&loc, 42, Traffic::kSyncObject)), 41u);
+  EXPECT_EQ(hub.Issue(McOp::Exchange(&loc, 43, Traffic::kSyncObject)), 42u);
+  EXPECT_EQ(loc, 43u);
+}
+
 TEST(McHubTest, StreamMatchesMemcpy) {
   constexpr std::size_t kWords = 777;
   std::vector<std::uint32_t> src(kWords);
