@@ -1,5 +1,7 @@
 #include "cashmere/runtime/runtime.hpp"
 
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -14,8 +16,25 @@
 
 namespace cashmere {
 
+namespace {
+
+// glibc raises its mmap threshold to the size of every mmapped block that
+// is freed, so once one Runtime is torn down the next one's large rings
+// (message bins, coherence logs) come from the malloc heaps instead, where
+// thread timing decides how much of them stays resident afterwards. Pinning
+// the threshold at glibc's default turns that adjustment off: every buffer
+// above it gets its own mapping and goes back to the OS with its Runtime, so
+// a Runtime's footprint does not depend on what ran before it in the
+// process. Process-wide, set once, before the first member allocates.
+void PinMallocMmapThreshold() {
+  static const bool pinned = mallopt(M_MMAP_THRESHOLD, 128 * 1024) == 1;
+  CSM_CHECK(pinned);
+}
+
+}  // namespace
+
 Runtime::Runtime(Config cfg, SyncShape sync)
-    : cfg_(std::move(cfg)),
+    : cfg_((PinMallocMmapThreshold(), std::move(cfg))),
       hub_(cfg_.units()),
       homes_(((void)cfg_.Validate(), cfg_)),
       dir_(cfg_, hub_),
