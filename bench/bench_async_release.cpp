@@ -28,7 +28,6 @@
 // app diverges, or the release-path reduction falls below 2x. Results go
 // to stdout and BENCH_asyncrelease.json.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -193,7 +192,7 @@ ParityRow RunParity(AppKind kind, int size_class) {
 
 // ---------------------------------------------------------------------------
 
-int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
+int RunBench(const bench::BenchOptions& opt) {
   bench::PrintHeader("Async release-path coherence: log agents vs synchronous flush");
 
   const KernelProfile sync_k = RunKernel(/*async_release=*/false);
@@ -265,9 +264,9 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
               kernel_ok ? "kernel verified" : "KERNEL FAILED",
               parity_ok ? "deterministic apps identical" : "PARITY FAILED");
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
+  std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    std::fprintf(stderr, "cannot open %s\n", opt.json_path.c_str());
     return 1;
   }
   std::string parity_rows;
@@ -306,7 +305,7 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
       (unsigned long long)async_k.diff_apply_bytes, parity_rows.c_str(),
       (kernel_ok && parity_ok) ? "true" : "false", meets_goal ? "true" : "false");
   std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  std::printf("wrote %s\n", opt.json_path.c_str());
   return (kernel_ok && parity_ok && meets_goal) ? 0 : 1;
 }
 
@@ -314,12 +313,6 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
 }  // namespace cashmere
 
 int main(int argc, char** argv) {
-  auto opt = cashmere::bench::BenchOptions::Parse(argc, argv);
-  std::string json_path = "BENCH_asyncrelease.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
-  }
-  return cashmere::RunBench(opt, json_path);
+  const auto opt = cashmere::bench::BenchOptions::Parse(argc, argv, "BENCH_asyncrelease.json");
+  return cashmere::RunBench(opt);
 }

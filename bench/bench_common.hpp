@@ -5,7 +5,7 @@
 #define CASHMERE_BENCH_BENCH_COMMON_HPP_
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -13,38 +13,61 @@
 
 namespace cashmere::bench {
 
-// Command-line knobs shared by the table generators.
+// Command-line knobs shared by the table generators. Parse rejects an
+// unknown flag or app name with usage and exit 2, so a typo never runs the
+// wrong sweep.
 struct BenchOptions {
   int size_class = kSizeBench;
   bool full = false;  // full sweep vs the quick default
   std::string csv_path;  // when set, also append machine-readable rows
+  std::string json_path;  // the JSON report, for benches that write one
   std::vector<AppKind> apps;
 
-  static BenchOptions Parse(int argc, char** argv) {
+  // `default_json` is null for benches without a JSON report; for the
+  // others it is the report path that --json overrides.
+  static BenchOptions Parse(int argc, char** argv, const char* default_json = nullptr) {
     BenchOptions opt;
     opt.apps.reserve(kNumApps);
     for (int a = 0; a < kNumApps; ++a) {
       opt.apps.push_back(static_cast<AppKind>(a));
     }
+    if (default_json != nullptr) {
+      opt.json_path = default_json;
+    }
     for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--full") == 0) {
+      const std::string arg = argv[i];
+      auto next = [&]() -> const char* {
+        if (i + 1 >= argc) {
+          Usage(argv[0], default_json);
+        }
+        return argv[++i];
+      };
+      if (arg == "--full") {
         opt.full = true;
         opt.size_class = kSizeLarge;
-      } else if (std::strcmp(argv[i], "--small") == 0) {
+      } else if (arg == "--small") {
         opt.size_class = kSizeTest;
-      } else if (std::strcmp(argv[i], "--csv") == 0 && i + 1 < argc) {
-        opt.csv_path = argv[++i];
-      } else if (std::strcmp(argv[i], "--app") == 0 && i + 1 < argc) {
-        opt.apps.clear();
-        const char* name = argv[++i];
-        for (int a = 0; a < kNumApps; ++a) {
-          if (std::strcmp(AppName(static_cast<AppKind>(a)), name) == 0) {
-            opt.apps.push_back(static_cast<AppKind>(a));
-          }
+      } else if (arg == "--csv") {
+        opt.csv_path = next();
+      } else if (arg == "--json" && default_json != nullptr) {
+        opt.json_path = next();
+      } else if (arg == "--app") {
+        AppKind kind = AppKind::kSor;
+        if (!App::Lookup(next(), &kind)) {
+          Usage(argv[0], default_json);
         }
+        opt.apps.assign(1, kind);
+      } else {
+        Usage(argv[0], default_json);
       }
     }
     return opt;
+  }
+
+  [[noreturn]] static void Usage(const char* argv0, const char* default_json) {
+    std::fprintf(stderr, "usage: %s [--small|--full] [--app <name>] [--csv <file>]%s\n", argv0,
+                 default_json != nullptr ? " [--json <file>]" : "");
+    std::exit(2);
   }
 };
 

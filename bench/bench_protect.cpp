@@ -24,7 +24,6 @@
 // BENCH_protect.json.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -194,7 +193,7 @@ DrainProfile RunKernel() {
 
 // ---------------------------------------------------------------------------
 
-int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
+int RunBench(const bench::BenchOptions& opt) {
   bench::PrintHeader("Permission-batch engine: drain-site mprotect coalescing");
 
   // Section 1: raw drain replay.
@@ -248,9 +247,9 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
               (all_verified && meets_goal) ? "PASS" : "FAIL", coalesce,
               all_verified ? "all runs verified" : "VERIFICATION FAILED");
 
-  std::FILE* f = std::fopen(json_path.c_str(), "w");
+  std::FILE* f = std::fopen(opt.json_path.c_str(), "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
+    std::fprintf(stderr, "cannot open %s\n", opt.json_path.c_str());
     return 1;
   }
   std::string replay_rows;
@@ -281,7 +280,7 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
       static_cast<unsigned long long>(kernel.total_mprotect), coalesce, sor_calls,
       replay_rows.c_str(), all_verified ? "true" : "false", meets_goal ? "true" : "false");
   std::fclose(f);
-  std::printf("wrote %s\n", json_path.c_str());
+  std::printf("wrote %s\n", opt.json_path.c_str());
   return (all_verified && meets_goal) ? 0 : 1;
 }
 
@@ -289,12 +288,6 @@ int RunBench(const bench::BenchOptions& opt, const std::string& json_path) {
 }  // namespace cashmere
 
 int main(int argc, char** argv) {
-  auto opt = cashmere::bench::BenchOptions::Parse(argc, argv);
-  std::string json_path = "BENCH_protect.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[i + 1];
-    }
-  }
-  return cashmere::RunBench(opt, json_path);
+  const auto opt = cashmere::bench::BenchOptions::Parse(argc, argv, "BENCH_protect.json");
+  return cashmere::RunBench(opt);
 }

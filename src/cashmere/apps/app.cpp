@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <system_error>
 
 #include "cashmere/common/calibration.hpp"
 #include "cashmere/common/logging.hpp"
@@ -86,6 +89,29 @@ bool ParseSizeClass(const char* name, int* out) {
     }
   }
   return false;
+}
+
+bool ParsePositiveInt(const char* text, int* out) {
+  const char* end = text + std::strlen(text);
+  int v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc() || ptr != end || v <= 0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+bool SetClusterShape(int procs, int ppn, Config* cfg) {
+  if (procs <= 0 || ppn <= 0 || procs % ppn != 0 || procs / ppn > kMaxNodes ||
+      ppn > kMaxProcsPerNode) {
+    std::fprintf(stderr, "invalid cluster shape %d:%d (max %d nodes x %d processors)\n",
+                 procs, ppn, kMaxNodes, kMaxProcsPerNode);
+    return false;
+  }
+  cfg->nodes = procs / ppn;
+  cfg->procs_per_node = ppn;
+  return true;
 }
 
 std::unique_ptr<IApp> MakeApp(AppKind kind, int size_class) {

@@ -37,6 +37,12 @@ inline constexpr int kSizeLarge = 2;
 // Parses a size-class name ("test" | "bench" | "large") into `*out`; false
 // (out untouched) on any other name. Shared by the CLI drivers' --size flags.
 bool ParseSizeClass(const char* name, int* out);
+// Parses a whole decimal positive int (not "8x", "abc", "0") into `*out`;
+// false (out untouched) otherwise. Shared by the CLI drivers' integer flags.
+bool ParsePositiveInt(const char* text, int* out);
+// Sets `cfg`'s shape to `procs` processors, `ppn` per node; false (cfg
+// untouched, reason on stderr) if the runtime does not support it.
+bool SetClusterShape(int procs, int ppn, Config* cfg);
 
 class IApp {
  public:

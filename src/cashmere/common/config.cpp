@@ -47,6 +47,7 @@ struct VariantFlag {
 
 constexpr VariantFlag kVariantFlags[] = {
     {" home-opt", [](const Config& c) { return c.home_opt; }},
+    {" no-first-touch", [](const Config& c) { return !c.first_touch; }},
     {" interrupts", [](const Config& c) { return c.delivery == DeliveryMode::kInterrupt; }},
     {" trace", [](const Config& c) { return c.trace.enabled; }},
     {" async-release", [](const Config& c) { return c.AsyncRelease(); }},

@@ -4,8 +4,11 @@
 // a message-passing protocol: the requester deposits a request in a
 // per-(destination, source) bin inside the destination's receive region and
 // raises the destination's polling flag; any processor of the destination
-// unit notices the flag at its next poll, drains the bins, and writes the
-// reply (page data) into the requester's reply buffer.
+// unit notices the flag at its next poll, serves the request, and writes the
+// reply (page data) into the requester's page read buffer. A requester waits
+// for its reply before it sends again, so each bin has a depth of one: it is
+// the source processor's Mailbox, and the polling flag is the source's bit in
+// the destination unit's pending mask.
 //
 // Cashmere-2L uses explicit requests for exactly two purposes: fetching a
 // page copy from its home node, and breaking a page out of exclusive mode.
@@ -19,7 +22,6 @@
 #include "cashmere/common/config.hpp"
 #include "cashmere/common/spin.hpp"
 #include "cashmere/common/types.hpp"
-#include "cashmere/mc/hub.hpp"
 
 namespace cashmere {
 
@@ -39,8 +41,12 @@ struct Request {
 inline constexpr std::uint32_t kReplyHasPage = 1u << 0;    // data[] holds the page image
 inline constexpr std::uint32_t kReplyFetchHome = 1u << 1;  // requester should fetch from home
 
-// One reply buffer per processor ("page read buffers" in the paper).
-struct ReplySlot {
+// One per processor: its one request in flight and the reply to it ("page
+// read buffers" in the paper). The owner writes `request` only once
+// `done_seq` has caught up with `request.seq`; a responder copies the
+// request out before it completes it.
+struct Mailbox {
+  Request request;
   alignas(64) std::atomic<std::uint64_t> done_seq{0};
   std::uint32_t flags = 0;
   VirtTime responder_vt = 0;
@@ -63,55 +69,40 @@ class MessageLayer {
 
   void set_handler(RequestHandler* handler) { handler_ = handler; }
 
-  // Deposits a request for `dst_unit`. Returns the sequence number to wait
-  // on if a reply is expected.
+  // Deposits `from`'s request for `dst_unit` and returns the sequence
+  // number its reply will carry. `from`'s previous request must have been
+  // completed.
   std::uint64_t Send(ProcId from, UnitId dst_unit, Request request);
 
-  // Drains this unit's bins if any requests are pending. Returns the number
-  // of requests handled. Cheap when idle (one relaxed load).
+  // Serves the requests pending for this unit, in processor order, unless
+  // another local processor is already serving them. Returns the number of
+  // requests handled. Cheap when idle (one acquire load).
   int Poll(UnitId my_unit);
 
   bool HasPending(UnitId my_unit) const {
-    return pending_[static_cast<std::size_t>(my_unit)].v.load(std::memory_order_acquire) > 0;
+    return inboxes_[static_cast<std::size_t>(my_unit)].pending.load(std::memory_order_acquire) != 0;
   }
 
-  // Reply path: the responder fills `slot.data`/flags and then calls
-  // Complete. The requester's wait loop lives in the protocol (it must poll
-  // its own unit while waiting, to avoid cross-unit deadlock).
-  ReplySlot& SlotOf(ProcId proc) { return slots_[static_cast<std::size_t>(proc)]; }
+  // Reply path: the responder fills `MailboxOf(requester).data` and then
+  // calls Complete. The requester's wait loop lives in the protocol (it
+  // must poll its own unit while waiting, to avoid cross-unit deadlock).
+  Mailbox& MailboxOf(ProcId proc) { return mailboxes_[static_cast<std::size_t>(proc)]; }
   void Complete(ProcId requester, std::uint64_t seq, std::uint32_t flags, VirtTime responder_vt);
 
   // Global progress heartbeat for the deadlock watchdog.
   std::uint64_t heartbeat() const { return heartbeat_.load(std::memory_order_relaxed); }
 
  private:
-  struct Bin {
-    SpinLock producer_lock;
-    static constexpr std::size_t kCapacity = 1024;
-    std::atomic<std::uint64_t> head{0};  // next slot to fill
-    std::atomic<std::uint64_t> tail{0};  // next slot to drain
-    Request ring[kCapacity];
-  };
-  struct alignas(64) PaddedAtomicInt {
-    std::atomic<int> v{0};
-  };
-  struct alignas(64) PaddedSpinLock {
-    SpinLock lock;
+  // Per destination unit: one bit per source processor with a request
+  // waiting, and the lock that lets one local processor serve them.
+  struct alignas(64) UnitInbox {
+    std::atomic<std::uint64_t> pending{0};
+    SpinLock poll_lock;
   };
 
-  Bin& BinOf(UnitId dst, UnitId src) {
-    return bins_[static_cast<std::size_t>(dst) * static_cast<std::size_t>(units_) +
-                 static_cast<std::size_t>(src)];
-  }
-
-  int units_;
   RequestHandler* handler_ = nullptr;
-  std::vector<Bin> bins_;                  // [dst_unit][src_unit]
-  std::vector<PaddedAtomicInt> pending_;   // per destination unit
-  std::vector<PaddedSpinLock> poll_locks_; // per destination unit
-  std::vector<ReplySlot> slots_;           // per processor
-  std::vector<std::atomic<std::uint64_t>> next_seq_;  // per processor
-  std::vector<UnitId> unit_of_proc_;
+  std::vector<UnitInbox> inboxes_;  // per destination unit
+  std::vector<Mailbox> mailboxes_;  // per processor
   std::atomic<std::uint64_t> heartbeat_{0};
 };
 

@@ -197,9 +197,9 @@ void CashmereProtocol::HandleRequest(const Request& request) {
     case Request::Kind::kPageFetch: {
       // We are (a processor of) the page's home unit: write the master copy
       // into the requester's page read buffer.
-      ReplySlot& slot = deps_.msg->SlotOf(request.from_proc);
+      Mailbox& box = deps_.msg->MailboxOf(request.from_proc);
       deps_.hub->Issue(
-          McOp::Stream(slot.data, MasterPtr(page), kWordsPerPage, Traffic::kPageData));
+          McOp::Stream(box.data, MasterPtr(page), kWordsPerPage, Traffic::kPageData));
       deps_.msg->Complete(request.from_proc, request.seq, kReplyHasPage, ctx.clock().now());
       return;
     }
@@ -273,21 +273,41 @@ void CashmereProtocol::HandleRequest(const Request& request) {
       }
       RefreshLoosestPerm(ctx, pl, page);
       // Piggyback the latest copy of the page to the requester.
-      ReplySlot& slot = deps_.msg->SlotOf(request.from_proc);
+      Mailbox& box = deps_.msg->MailboxOf(request.from_proc);
       deps_.hub->Issue(
-          McOp::Stream(slot.data, working, kWordsPerPage, Traffic::kPageData));
+          McOp::Stream(box.data, working, kWordsPerPage, Traffic::kPageData));
       deps_.msg->Complete(request.from_proc, request.seq, kReplyHasPage, ctx.clock().now());
       return;
     }
   }
 }
 
-std::uint64_t CashmereProtocol::AwaitReply(Context& ctx, std::uint64_t seq) {
+const Mailbox& CashmereProtocol::RoundTrip(Context& ctx, Request::Kind kind, PageId page,
+                                          UnitId dst, std::uint64_t transfer_ns,
+                                          std::size_t bus_bytes) {
+  const Request request{.kind = kind, .page = page, .send_vt = ctx.clock().now()};
+  ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
+                     CostModel::UsToNs(cfg_.costs.mc_write_latency_us));
+  const std::uint64_t seq = deps_.msg->Send(ctx.proc(), dst, request);
   ctx.SetDebugState(2, seq);
-  ReplySlot& slot = deps_.msg->SlotOf(ctx.proc());
-  ServeWhile(ctx, [&] { return slot.done_seq.load(std::memory_order_acquire) < seq; });
+  const Mailbox& box = deps_.msg->MailboxOf(ctx.proc());
+  ServeWhile(ctx, [&] { return box.done_seq.load(std::memory_order_acquire) < seq; });
   ctx.SetDebugState(1, 0xffffffff);  // back in the fault path
-  return slot.responder_vt;
+  const VirtTime service = std::max(request.send_vt, box.responder_vt);
+  // Latency bound under no contention; serial-bus occupancy under load
+  // ("MC is a bus", Section 3.3.3 — this is what penalizes protocols that
+  // move more data).
+  VirtTime arrival =
+      std::max(service + transfer_ns, deps_.hub->ReserveBus(service, bus_bytes));
+  if (cfg_.delivery == DeliveryMode::kInterrupt) {
+    arrival += CostModel::UsToNs(cfg_.costs.inter_node_interrupt_us);
+  }
+  ctx.clock().AdvanceTo(ctx.stats(), arrival);
+  if (TraceActive()) {
+    TraceEmit(EventKind::kReqDone, page, 0, static_cast<std::uint32_t>(kind),
+              (static_cast<std::uint64_t>(ctx.proc()) << 32) | seq);
+  }
+  return box;
 }
 
 // ---------------------------------------------------------------------------
@@ -375,37 +395,18 @@ void CashmereProtocol::BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId 
   // stamp it at request time, so a write notice distributed while the
   // request is in flight still forces a refetch (update_ts <= wn_ts).
   const std::uint64_t fetch_start_ts = Unit(ctx.unit()).Tick();
-  Request request;
-  request.kind = Request::Kind::kBreakExclusive;
-  request.page = page;
-  request.send_vt = ctx.clock().now();
-  ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                     CostModel::UsToNs(cfg_.costs.mc_write_latency_us));
-  const std::uint64_t seq = deps_.msg->Send(ctx.proc(), holder, request);
-  const VirtTime responder_vt = AwaitReply(ctx, seq);
-  ReplySlot& slot = deps_.msg->SlotOf(ctx.proc());
-  const VirtTime service = std::max(request.send_vt, responder_vt);
-  // The holder's break-time flush and the reply each cross the serial MC
-  // bus: latency bound under no contention, queuing bound under load.
-  VirtTime arrival = std::max(service + cfg_.costs.PageTransferNs(false, cfg_.two_level()),
-                              deps_.hub->ReserveBus(service, 2 * kPageBytes));
-  if (cfg_.delivery == DeliveryMode::kInterrupt) {
-    arrival += CostModel::UsToNs(cfg_.costs.inter_node_interrupt_us);
-  }
-  ctx.clock().AdvanceTo(ctx.stats(), arrival);
-  if (TraceActive()) {
-    TraceEmit(EventKind::kReqDone, page, 0,
-              static_cast<std::uint32_t>(Request::Kind::kBreakExclusive),
-              (static_cast<std::uint64_t>(ctx.proc()) << 32) | seq);
-  }
-  if ((slot.flags & kReplyHasPage) != 0) {
+  // The holder's break-time flush and the reply each cross the MC bus.
+  const Mailbox& reply =
+      RoundTrip(ctx, Request::Kind::kBreakExclusive, page, holder,
+                cfg_.costs.PageTransferNs(false, cfg_.two_level()), 2 * kPageBytes);
+  if ((reply.flags & kReplyHasPage) != 0) {
     ctx.stats().Add(Counter::kPageTransfers);
     if (!UnitAtMaster(ctx.unit(), page)) {
       // Apply under the page lock: a concurrent local flush diffing
       // working-vs-twin must not interleave with the incoming merge's
       // working-then-twin writes, or it can push a stale word to the home.
       SpinLockGuard guard(pl.lock);
-      ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/true, fetch_start_ts,
+      ApplyIncoming(ctx, pl, page, reply.data, /*piggyback=*/true, fetch_start_ts,
                     diff_flushes_at_request);
     }
     // At the master copy the holder's break-time flush already updated our
@@ -471,38 +472,16 @@ void CashmereProtocol::FetchPage(Context& ctx, PageLocal& pl, PageId page) {
 
   // As above: the image cannot contain data newer than the request time.
   const std::uint64_t fetch_start_ts = Unit(ctx.unit()).Tick();
-  Request request;
-  request.kind = Request::Kind::kPageFetch;
-  request.page = page;
-  request.send_vt = ctx.clock().now();
-  ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
-                     CostModel::UsToNs(cfg_.costs.mc_write_latency_us));
-  const std::uint64_t seq = deps_.msg->Send(ctx.proc(), home, request);
-  const VirtTime responder_vt = AwaitReply(ctx, seq);
-  ReplySlot& slot = deps_.msg->SlotOf(ctx.proc());
   const bool home_is_local_node =
       cfg_.NodeOfProc(cfg_.FirstProcOfUnit(home)) == ctx.node();
-  const VirtTime service = std::max(request.send_vt, responder_vt);
-  // Latency bound under no contention; serial-bus occupancy under load
-  // ("MC is a bus", Section 3.3.3 — this is what penalizes protocols that
-  // move more data).
-  VirtTime arrival =
-      std::max(service + cfg_.costs.PageTransferNs(home_is_local_node, cfg_.two_level()),
-               deps_.hub->ReserveBus(service, kPageBytes));
-  if (cfg_.delivery == DeliveryMode::kInterrupt) {
-    arrival += CostModel::UsToNs(cfg_.costs.inter_node_interrupt_us);
-  }
-  ctx.clock().AdvanceTo(ctx.stats(), arrival);
+  const Mailbox& reply =
+      RoundTrip(ctx, Request::Kind::kPageFetch, page, home,
+                cfg_.costs.PageTransferNs(home_is_local_node, cfg_.two_level()), kPageBytes);
   ctx.stats().Add(Counter::kPageTransfers);
-  if (TraceActive()) {
-    TraceEmit(EventKind::kReqDone, page, 0,
-              static_cast<std::uint32_t>(Request::Kind::kPageFetch),
-              (static_cast<std::uint64_t>(ctx.proc()) << 32) | seq);
-  }
   {
     // Serialize the merge against concurrent local flushes (see above).
     SpinLockGuard guard(pl.lock);
-    ApplyIncoming(ctx, pl, page, slot.data, /*piggyback=*/false, fetch_start_ts,
+    ApplyIncoming(ctx, pl, page, reply.data, /*piggyback=*/false, fetch_start_ts,
                   diff_flushes_at_request);
   }
 }

@@ -140,7 +140,13 @@ class CashmereProtocol : public RequestHandler {
   void BreakRemoteExclusive(Context& ctx, PageLocal& pl, PageId page, UnitId holder,
                             std::uint32_t diff_flushes_at_request) CSM_EXCLUDES(pl.lock);
   void WaitFetchDone(Context& ctx, PageLocal& pl) CSM_EXCLUDES(pl.lock);
-  std::uint64_t AwaitReply(Context& ctx, std::uint64_t seq);
+  // One explicit request round trip (Figures 2 and 5): deposits the
+  // request, serves this unit's requests until the reply lands, and
+  // advances the clock to its arrival. The reply moves `bus_bytes` over the
+  // MC bus; `transfer_ns` is its latency under no contention. Returns the
+  // mailbox holding the reply.
+  const Mailbox& RoundTrip(Context& ctx, Request::Kind kind, PageId page, UnitId dst,
+                           std::uint64_t transfer_ns, std::size_t bus_bytes);
   // Spins while `pred()` holds, servicing this unit's incoming requests
   // between checks, as the paper's polling instrumentation does: this is
   // what keeps two mutually-waiting units from deadlocking. Never call it

@@ -229,6 +229,9 @@ TEST(ConfigTest, DescribeMentionsProtocolAndShape) {
   const std::string d = cfg.Describe();
   EXPECT_NE(d.find("2LS"), std::string::npos);
   EXPECT_NE(d.find("8:2"), std::string::npos);
+  EXPECT_EQ(d.find("no-first-touch"), std::string::npos);
+  cfg.first_touch = false;
+  EXPECT_NE(cfg.Describe().find(" no-first-touch"), std::string::npos);
 }
 
 TEST(ConfigTest, ParseProtocolVariantRoundTripsNamesAndRejectsUnknown) {
@@ -260,6 +263,20 @@ TEST(ConfigTest, ParseSizeClassAcceptsOnlyTheThreeSizes) {
     size = -1;
     EXPECT_FALSE(ParseSizeClass(bad, &size)) << "'" << bad << "'";
     EXPECT_EQ(size, -1);
+  }
+}
+
+TEST(ConfigTest, ParsePositiveIntAcceptsOnlyWholePositiveDecimals) {
+  int n = -1;
+  EXPECT_TRUE(ParsePositiveInt("8", &n));
+  EXPECT_EQ(n, 8);
+  EXPECT_TRUE(ParsePositiveInt("16384", &n));
+  EXPECT_EQ(n, 16384);
+  for (const char* bad : {"8x", "abc", "", "0", "-4", "+4", " 4", "4 ", "1.5",
+                          "99999999999999999999"}) {
+    n = -1;
+    EXPECT_FALSE(ParsePositiveInt(bad, &n)) << "'" << bad << "'";
+    EXPECT_EQ(n, -1);
   }
 }
 

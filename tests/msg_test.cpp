@@ -1,8 +1,9 @@
-// Unit tests for the polling message layer: bins, poll flags, reply slots,
-// sequencing, cross-unit concurrency.
+// Unit tests for the polling message layer: mailboxes, pending masks,
+// sequencing, the one-request-in-flight bound, cross-unit concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -19,11 +20,17 @@ Config MsgConfig(int nodes, int ppn) {
   return cfg;
 }
 
+// Records every request and answers it at once, as the protocol's handler
+// does, so its sender may send again.
 class RecordingHandler : public RequestHandler {
  public:
+  explicit RecordingHandler(MessageLayer& msg) : msg_(msg) {}
   void HandleRequest(const Request& request) override {
-    std::lock_guard<std::mutex> guard(mu_);
-    requests_.push_back(request);
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      requests_.push_back(request);
+    }
+    msg_.Complete(request.from_proc, request.seq, 0, 0);
   }
   std::vector<Request> Take() {
     std::lock_guard<std::mutex> guard(mu_);
@@ -31,6 +38,7 @@ class RecordingHandler : public RequestHandler {
   }
 
  private:
+  MessageLayer& msg_;
   std::mutex mu_;
   std::vector<Request> requests_;
 };
@@ -38,7 +46,7 @@ class RecordingHandler : public RequestHandler {
 TEST(MessageLayerTest, SendRaisesPendingAndPollDrains) {
   Config cfg = MsgConfig(2, 2);
   MessageLayer msg(cfg);
-  RecordingHandler handler;
+  RecordingHandler handler(msg);
   msg.set_handler(&handler);
 
   Request request;
@@ -60,32 +68,36 @@ TEST(MessageLayerTest, SendRaisesPendingAndPollDrains) {
 TEST(MessageLayerTest, SequenceNumbersArePerProcessor) {
   Config cfg = MsgConfig(2, 2);
   MessageLayer msg(cfg);
-  RecordingHandler handler;
+  RecordingHandler handler(msg);
   msg.set_handler(&handler);
   Request request;
   EXPECT_EQ(msg.Send(0, 1, request), 1u);
+  EXPECT_EQ(msg.Poll(1), 1);
+  EXPECT_EQ(msg.MailboxOf(0).done_seq.load(), 1u);
   EXPECT_EQ(msg.Send(0, 1, request), 2u);
   EXPECT_EQ(msg.Send(1, 1, request), 1u);  // different processor
-  msg.Poll(1);
+  EXPECT_EQ(msg.Poll(1), 2);
+  EXPECT_EQ(msg.MailboxOf(0).done_seq.load(), 2u);
+  EXPECT_EQ(msg.MailboxOf(1).done_seq.load(), 1u);
 }
 
 TEST(MessageLayerTest, CompleteSignalsReplySlot) {
   Config cfg = MsgConfig(2, 1);
   MessageLayer msg(cfg);
-  ReplySlot& slot = msg.SlotOf(1);
-  EXPECT_EQ(slot.done_seq.load(), 0u);
+  Mailbox& box = msg.MailboxOf(1);
+  EXPECT_EQ(box.done_seq.load(), 0u);
   msg.Complete(/*requester=*/1, /*seq=*/5, kReplyHasPage, /*responder_vt=*/12345);
-  EXPECT_EQ(slot.done_seq.load(), 5u);
-  EXPECT_EQ(slot.flags, kReplyHasPage);
-  EXPECT_EQ(slot.responder_vt, 12345u);
+  EXPECT_EQ(box.done_seq.load(), 5u);
+  EXPECT_EQ(box.flags, kReplyHasPage);
+  EXPECT_EQ(box.responder_vt, 12345u);
 }
 
 TEST(MessageLayerTest, RequestsFromMultipleSourcesAllArrive) {
   Config cfg = MsgConfig(4, 2);  // 4 units
   MessageLayer msg(cfg);
-  RecordingHandler handler;
+  RecordingHandler handler(msg);
   msg.set_handler(&handler);
-  for (ProcId p = 2; p < 8; ++p) {  // procs of units 1..3 send to unit 0
+  for (ProcId p = 7; p >= 2; --p) {  // procs of units 3..1 send to unit 0
     Request request;
     request.page = static_cast<PageId>(p);
     msg.Send(p, 0, request);
@@ -95,28 +107,38 @@ TEST(MessageLayerTest, RequestsFromMultipleSourcesAllArrive) {
     handled += msg.Poll(0);
   }
   EXPECT_EQ(handled, 6);
-  EXPECT_EQ(handler.Take().size(), 6u);
+  const auto got = handler.Take();
+  ASSERT_EQ(got.size(), 6u);
+  for (std::size_t i = 0; i < got.size(); ++i) {  // served in processor order
+    EXPECT_EQ(got[i].from_proc, static_cast<ProcId>(i + 2));
+  }
 }
 
 TEST(MessageLayerTest, ConcurrentSendersDoNotLoseRequests) {
   Config cfg = MsgConfig(8, 4);
   MessageLayer msg(cfg);
-  RecordingHandler handler;
+  RecordingHandler handler(msg);
   msg.set_handler(&handler);
   constexpr int kPerSender = 200;
+  constexpr int kSenders = 8;
   std::vector<std::thread> senders;
-  for (ProcId p = 4; p < 12; ++p) {  // two units' worth of senders
+  for (ProcId p = 4; p < 4 + kSenders; ++p) {  // two units' worth of senders
     senders.emplace_back([&, p] {
+      const Mailbox& box = msg.MailboxOf(p);
       for (int i = 0; i < kPerSender; ++i) {
         Request request;
         request.page = static_cast<PageId>(i);
-        msg.Send(p, 0, request);
+        const std::uint64_t seq = msg.Send(p, 0, request);
+        EXPECT_EQ(seq, static_cast<std::uint64_t>(i + 1));
+        while (box.done_seq.load(std::memory_order_acquire) < seq) {
+          std::this_thread::yield();
+        }
       }
     });
   }
   std::atomic<int> drained{0};
   std::thread poller([&] {
-    while (drained.load() < 8 * kPerSender) {
+    while (drained.load() < kSenders * kPerSender) {
       drained.fetch_add(msg.Poll(0));
     }
   });
@@ -124,20 +146,30 @@ TEST(MessageLayerTest, ConcurrentSendersDoNotLoseRequests) {
     t.join();
   }
   poller.join();
-  EXPECT_EQ(drained.load(), 8 * kPerSender);
-  EXPECT_GE(msg.heartbeat(), static_cast<std::uint64_t>(8 * kPerSender));
+  EXPECT_EQ(drained.load(), kSenders * kPerSender);
+  EXPECT_EQ(handler.Take().size(), static_cast<std::size_t>(kSenders * kPerSender));
+  EXPECT_GE(msg.heartbeat(), static_cast<std::uint64_t>(kSenders * kPerSender));
 }
 
 TEST(MessageLayerTest, PollFromWrongUnitFindsNothing) {
   Config cfg = MsgConfig(4, 1);
   MessageLayer msg(cfg);
-  RecordingHandler handler;
+  RecordingHandler handler(msg);
   msg.set_handler(&handler);
   Request request;
   msg.Send(0, 2, request);
   EXPECT_EQ(msg.Poll(1), 0);
   EXPECT_EQ(msg.Poll(3), 0);
   EXPECT_EQ(msg.Poll(2), 1);
+}
+
+TEST(MessageLayerDeathTest, SecondSendBeforeReplyAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Config cfg = MsgConfig(2, 2);
+  MessageLayer msg(cfg);
+  Request request;
+  msg.Send(0, 1, request);
+  EXPECT_DEATH(msg.Send(0, 1, request), "one request in flight");
 }
 
 }  // namespace

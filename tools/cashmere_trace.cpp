@@ -224,15 +224,23 @@ int main(int argc, char** argv) {
         Usage(argv[0]);
       }
     } else if (arg == "--procs") {
-      procs = std::atoi(next());
+      if (!ParsePositiveInt(next(), &procs)) {
+        Usage(argv[0]);
+      }
     } else if (arg == "--ppn") {
-      ppn = std::atoi(next());
+      if (!ParsePositiveInt(next(), &ppn)) {
+        Usage(argv[0]);
+      }
     } else if (arg == "--size") {
       if (!ParseSizeClass(next(), &size_class)) {
         Usage(argv[0]);
       }
     } else if (arg == "--ring-events") {
-      cfg.trace.ring_events = static_cast<std::uint32_t>(std::atoi(next()));
+      int events = 0;
+      if (!ParsePositiveInt(next(), &events)) {
+        Usage(argv[0]);
+      }
+      cfg.trace.ring_events = static_cast<std::uint32_t>(events);
     } else if (arg == "--json") {
       json_path = next();
     } else if (arg == "--no-check") {
@@ -240,7 +248,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-async") {
       cfg.async.release = false;
     } else if (arg == "--top") {
-      top = std::atoi(next());
+      if (!ParsePositiveInt(next(), &top)) {
+        Usage(argv[0]);
+      }
     } else {
       Usage(argv[0]);
     }
@@ -248,14 +258,9 @@ int main(int argc, char** argv) {
   if (!have_app) {
     Usage(argv[0]);
   }
-  if (ppn <= 0 || procs <= 0 || procs % ppn != 0 || procs / ppn > kMaxNodes ||
-      ppn > kMaxProcsPerNode) {
-    std::fprintf(stderr, "invalid cluster shape %d:%d (max %d nodes x %d processors)\n",
-                 procs, ppn, kMaxNodes, kMaxProcsPerNode);
+  if (!SetClusterShape(procs, ppn, &cfg)) {
     return 2;
   }
-  cfg.nodes = procs / ppn;
-  cfg.procs_per_node = ppn;
 
   const AppRunResult r = RunApp(kind, cfg, size_class);
   std::printf("%s on %s  [%s]\n", AppName(kind), r.cfg.Describe().c_str(),
