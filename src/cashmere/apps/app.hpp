@@ -68,6 +68,11 @@ class IApp {
   // paper's measured communication volume, used to derive the cost scale
   // for scaled-down runs.
   virtual double PaperDataMbytes32() const = 0;
+  // This reproduction's Data row at the same configuration (2L, 32:4,
+  // `cost.scale = 1`) for the app's size class: a pinned median of repeated
+  // runs (DESIGN.md §7), so deriving the cost scale needs no probe run.
+  // DataVolumeTableTest fails when a fresh run drifts past its tolerance.
+  virtual double DataMbytes32() const = 0;
   virtual std::string ProblemSize() const = 0;
 };
 
@@ -129,7 +134,7 @@ void SequentialBaseline(AppKind kind, int size_class, double* host_seconds,
                         double* alpha_seconds, double* checksum);
 
 // The cost-model scale factor that restores the paper's compute-to-
-// communication ratio for this app at this (scaled-down) size; cached.
+// communication ratio for this app at this (scaled-down) size.
 // Config::cost.scale == 0 in RunApp triggers this automatically.
 double AutoCostScale(AppKind kind, int size_class);
 

@@ -19,9 +19,11 @@ class SorApp : public IApp {
   const char* PaperProblemSize() const override { return "3072x4096 (50 MB)"; }
   std::size_t PaperDataBytes() const override { return 50ull * 1024 * 1024; }
   double PaperDataMbytes32() const override { return 4.25; }
+  double DataMbytes32() const override { return data_mbytes32_; }
   std::string ProblemSize() const override;
 
  private:
+  double data_mbytes32_;
   int rows_;
   int cols_;
   int iters_;
@@ -39,9 +41,11 @@ class LuApp : public IApp {
   const char* PaperProblemSize() const override { return "2046x2046 (33 MB)"; }
   std::size_t PaperDataBytes() const override { return 33ull * 1024 * 1024; }
   double PaperDataMbytes32() const override { return 116.56; }
+  double DataMbytes32() const override { return data_mbytes32_; }
   std::string ProblemSize() const override;
 
  private:
+  double data_mbytes32_;
   int n_;
   int block_;
 };
@@ -61,9 +65,11 @@ class WaterApp : public IApp {
   const char* PaperProblemSize() const override { return "4096 mols (4 MB)"; }
   std::size_t PaperDataBytes() const override { return 4ull * 1024 * 1024; }
   double PaperDataMbytes32() const override { return 277.83; }
+  double DataMbytes32() const override { return data_mbytes32_; }
   std::string ProblemSize() const override;
 
  private:
+  double data_mbytes32_;
   int mols_;
   int steps_;
 };
@@ -81,9 +87,11 @@ class TspApp : public IApp {
   const char* PaperProblemSize() const override { return "17 cities (1 MB)"; }
   std::size_t PaperDataBytes() const override { return 1ull * 1024 * 1024; }
   double PaperDataMbytes32() const override { return 103.23; }
+  double DataMbytes32() const override { return data_mbytes32_; }
   std::string ProblemSize() const override;
 
  private:
+  double data_mbytes32_;
   int cities_;
 };
 
@@ -101,9 +109,11 @@ class GaussApp : public IApp {
   const char* PaperProblemSize() const override { return "2046x2046 (33 MB)"; }
   std::size_t PaperDataBytes() const override { return 33ull * 1024 * 1024; }
   double PaperDataMbytes32() const override { return 385.31; }
+  double DataMbytes32() const override { return data_mbytes32_; }
   std::string ProblemSize() const override;
 
  private:
+  double data_mbytes32_;
   int n_;
 };
 
@@ -122,9 +132,11 @@ class IlinkApp : public IApp {
   const char* PaperProblemSize() const override { return "CLP (15 MB)"; }
   std::size_t PaperDataBytes() const override { return 15ull * 1024 * 1024; }
   double PaperDataMbytes32() const override { return 479.9; }
+  double DataMbytes32() const override { return data_mbytes32_; }
   std::string ProblemSize() const override;
 
  private:
+  double data_mbytes32_;
   int buckets_;
   int iters_;
   int sparsity_;  // one nonzero in every `sparsity_` buckets
@@ -143,9 +155,11 @@ class Em3dApp : public IApp {
   const char* PaperProblemSize() const override { return "60106 nodes (49 MB)"; }
   std::size_t PaperDataBytes() const override { return 49ull * 1024 * 1024; }
   double PaperDataMbytes32() const override { return 345.92; }
+  double DataMbytes32() const override { return data_mbytes32_; }
   std::string ProblemSize() const override;
 
  private:
+  double data_mbytes32_;
   int nodes_;
   int degree_;
   int iters_;
@@ -165,9 +179,11 @@ class BarnesApp : public IApp {
   const char* PaperProblemSize() const override { return "128K bodies (26 MB)"; }
   std::size_t PaperDataBytes() const override { return 26ull * 1024 * 1024; }
   double PaperDataMbytes32() const override { return 616.75; }
+  double DataMbytes32() const override { return data_mbytes32_; }
   std::string ProblemSize() const override;
 
  private:
+  double data_mbytes32_;
   int bodies_;
   int steps_;
 };

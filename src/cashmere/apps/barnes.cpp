@@ -237,14 +237,17 @@ BarnesApp::BarnesApp(int size_class) {
     case kSizeTest:
       bodies_ = 128;
       steps_ = 2;
+      data_mbytes32_ = 0.6188;
       break;
     case kSizeLarge:
       bodies_ = 2048;
       steps_ = 4;
+      data_mbytes32_ = 7.8258;
       break;
     default:
       bodies_ = 512;
       steps_ = 3;
+      data_mbytes32_ = 1.9542;
       break;
   }
 }

@@ -52,14 +52,17 @@ Em3dApp::Em3dApp(int size_class) {
     case kSizeTest:
       nodes_ = 4096;
       iters_ = 4;
+      data_mbytes32_ = 0.8778;
       break;
     case kSizeLarge:
       nodes_ = 65536;
       iters_ = 20;
+      data_mbytes32_ = 11.0022;
       break;
     default:
       nodes_ = 16384;
       iters_ = 10;
+      data_mbytes32_ = 3.3931;
       break;
   }
 }

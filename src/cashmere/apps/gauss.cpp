@@ -64,12 +64,15 @@ GaussApp::GaussApp(int size_class) {
   switch (size_class) {
     case kSizeTest:
       n_ = 64;
+      data_mbytes32_ = 2.1391;
       break;
     case kSizeLarge:
       n_ = 320;
+      data_mbytes32_ = 25.1320;
       break;
     default:
       n_ = 160;
+      data_mbytes32_ = 8.6089;
       break;
   }
 }

@@ -26,16 +26,19 @@ IlinkApp::IlinkApp(int size_class) {
       buckets_ = 2048;
       iters_ = 6;
       sparsity_ = 3;
+      data_mbytes32_ = 2.0875;
       break;
     case kSizeLarge:
       buckets_ = 32768;
       iters_ = 40;
       sparsity_ = 3;
+      data_mbytes32_ = 72.6890;
       break;
     default:
       buckets_ = 8192;
       iters_ = 16;
       sparsity_ = 3;
+      data_mbytes32_ = 10.5464;
       break;
   }
 }

@@ -162,14 +162,17 @@ LuApp::LuApp(int size_class) {
     case kSizeTest:
       n_ = 64;
       block_ = 16;
+      data_mbytes32_ = 0.1595;
       break;
     case kSizeLarge:
       n_ = 384;
       block_ = 32;
+      data_mbytes32_ = 7.1621;
       break;
     default:
       n_ = 192;
       block_ = 16;
+      data_mbytes32_ = 2.4037;
       break;
   }
 }

@@ -53,16 +53,19 @@ SorApp::SorApp(int size_class) {
       rows_ = 48;
       cols_ = 64;
       iters_ = 4;
+      data_mbytes32_ = 0.5763;
       break;
     case kSizeLarge:
       rows_ = 512;
       cols_ = 512;
       iters_ = 24;
+      data_mbytes32_ = 9.8996;
       break;
     default:
       rows_ = 192;
       cols_ = 256;
       iters_ = 12;
+      data_mbytes32_ = 3.3242;
       break;
   }
 }

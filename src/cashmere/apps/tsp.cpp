@@ -150,12 +150,15 @@ TspApp::TspApp(int size_class) {
   switch (size_class) {
     case kSizeTest:
       cities_ = 8;
+      data_mbytes32_ = 0.0865;
       break;
     case kSizeLarge:
       cities_ = 13;
+      data_mbytes32_ = 0.4816;
       break;
     default:
       cities_ = 11;
+      data_mbytes32_ = 0.1008;
       break;
   }
 }

@@ -91,14 +91,17 @@ WaterApp::WaterApp(int size_class) {
     case kSizeTest:
       mols_ = 64;
       steps_ = 2;
+      data_mbytes32_ = 4.0491;
       break;
     case kSizeLarge:
       mols_ = 512;
       steps_ = 4;
+      data_mbytes32_ = 16.9354;
       break;
     default:
       mols_ = 216;
       steps_ = 3;
+      data_mbytes32_ = 17.6247;
       break;
   }
 }

@@ -42,9 +42,7 @@ inline const char* TimeCategoryName(TimeCategory c) {
 // All costs in microseconds unless noted. Defaults reproduce the paper.
 struct CostModel {
   // Section 2.1: Memory Channel characteristics.
-  double mc_write_latency_us = 5.2;       // process-to-process write latency
-  double mc_link_bandwidth_mb_s = 29.0;   // per-link sustained bandwidth
-  double mc_aggregate_bandwidth_mb_s = 60.0;
+  double mc_write_latency_us = 5.2;  // process-to-process write latency
 
   // Section 3.1: basic operation costs.
   double mprotect_us = 55.0;

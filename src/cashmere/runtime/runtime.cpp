@@ -245,8 +245,10 @@ void Runtime::WatchdogLoop() {
   };
   std::uint64_t last_progress = sample();
   auto last_change = Clock::now();
-  while (running_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  std::unique_lock<std::mutex> lock(stop_mu_);
+  while (!stop_cv_.wait_for(lock, std::chrono::milliseconds(200), [this] {
+    return !running_.load(std::memory_order_acquire);
+  })) {
     const std::uint64_t p = sample();
     if (p != last_progress) {
       last_progress = p;
@@ -439,7 +441,11 @@ void Runtime::Run(const std::function<void(Context&)>& body) {
   for (auto& t : agent_threads) {
     t.join();
   }
-  running_.store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> guard(stop_mu_);
+    running_.store(false, std::memory_order_release);
+  }
+  stop_cv_.notify_one();
   watchdog.join();
   if (cfg_.fault_mode == FaultMode::kSigsegv) {
     FaultDispatcher::Instance().Unregister(this);

@@ -12,9 +12,11 @@
 #ifndef CASHMERE_RUNTIME_RUNTIME_HPP_
 #define CASHMERE_RUNTIME_RUNTIME_HPP_
 
+#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "cashmere/common/config.hpp"
@@ -144,6 +146,10 @@ class Runtime : public FaultSink {
   StatsReport report_;
   std::atomic<std::uint64_t> progress_{0};
   std::atomic<bool> running_{false};
+  // Run drops running_ under stop_mu_ and signals stop_cv_, so the
+  // watchdog's timed wait ends with the run instead of at its next tick.
+  std::mutex stop_mu_;
+  std::condition_variable stop_cv_;
   bool ran_ = false;
 };
 

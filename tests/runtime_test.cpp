@@ -2,7 +2,9 @@
 // synchronization, and result extraction across cluster shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <vector>
 
@@ -230,6 +232,24 @@ TEST(RuntimeTest, ExecutionTimeBreakdownCoversCategories) {
   const Stats& s = rt.report().total;
   EXPECT_GT(s.time_ns[static_cast<int>(TimeCategory::kUser)], 0u);
   EXPECT_GT(s.time_ns[static_cast<int>(TimeCategory::kProtocol)], 0u);
+}
+
+TEST(RuntimeTest, RunIsNotFlooredByTheWatchdog) {
+  // The watchdog samples progress every 200 ms, but Run wakes it when the
+  // work is done, so an empty run takes milliseconds. With a floor, a run
+  // lasts at least one 200 ms tick unless it ends before the watchdog
+  // thread first looks. The median of 20 runs is checked, because a
+  // loaded host can slow any single run.
+  Runtime rt(SmallConfig(ProtocolVariant::kTwoLevel, 2, 2));
+  std::vector<double> secs;
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    rt.Run([](Context&) {});
+    secs.push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
+  std::nth_element(secs.begin(), secs.begin() + 10, secs.end());
+  EXPECT_LT(secs[10], 0.1);
 }
 
 }  // namespace

@@ -37,9 +37,10 @@ using namespace cashmere;
   std::exit(2);
 }
 
-// "auto" -> 0 (auto-calibrate); otherwise the whole argument must parse as
-// a positive finite number. False on anything else, e.g. "1,0", which atof
-// would have read as 0 and silently turned into an auto-calibration probe.
+// "auto" -> 0 (AutoCostScale: the sequential baseline over the app's pinned
+// 32:4 2L data volume); otherwise the whole argument must parse as a
+// positive finite number. False on anything else, e.g. "1,0", which atof
+// would have read as 0 and silently turned into the auto scale.
 bool ParseCostScale(const char* s, double* out) {
   if (std::strcmp(s, "auto") == 0) {
     *out = 0.0;
