@@ -37,12 +37,6 @@ enum class DeliveryMode : int {
   kInterrupt = 1,
 };
 
-// How page access faults are generated.
-enum class FaultMode : int {
-  kSigsegv = 0,    // real mprotect + SIGSEGV, the production path
-  kSoftware = 1,   // explicit EnsureRead/EnsureWrite access checks (tests)
-};
-
 // --- Variant option groups ------------------------------------------------
 // The feature switches are grouped by subsystem rather than kept as flat
 // Config fields. Each group is a plain struct with defaults matching the
@@ -105,7 +99,6 @@ struct Config {
   bool first_touch = true;
 
   DeliveryMode delivery = DeliveryMode::kPolling;
-  FaultMode fault_mode = FaultMode::kSigsegv;
 
   TraceOptions trace;
   AsyncTuning async;

@@ -77,22 +77,9 @@ void CashmereProtocol::ProtectLocal(Context& ctx, PageLocal& pl, UnitId unit, in
               static_cast<std::uint32_t>(perm),
               static_cast<std::uint64_t>(GlobalProc(unit, local_index)));
   }
-  if (cfg_.fault_mode == FaultMode::kSigsegv) {
-    // Queue the hardware change instead of issuing it: the episode commits
-    // the coalesced batch before any point where a stale-loose mapping
-    // could be observed (DESIGN.md §11). Software mode never queues — the
-    // views stay fully open and the page table alone carries permissions.
-    ctx.perm_batch().Add(GlobalProc(unit, local_index), page, perm);
-  }
+  ctx.perm_batch().Add(GlobalProc(unit, local_index), page, perm);
   ctx.clock().Charge(ctx.stats(), TimeCategory::kProtocol,
                      CostModel::UsToNs(cfg_.costs.mprotect_us));
-}
-
-void CashmereProtocol::CommitPermBatch(Context& ctx) {
-  if (cfg_.fault_mode != FaultMode::kSigsegv) {
-    return;
-  }
-  ctx.perm_batch().Commit();
 }
 
 Perm CashmereProtocol::ResolveQueuedPerm(void* self, ProcId proc, PageId page,
@@ -238,7 +225,7 @@ void CashmereProtocol::HandleRequest(const Request& request) {
           pl.PermOfLocal(holder_li) == Perm::kReadWrite) {
         ProtectLocal(ctx, pl, ctx.unit(), holder_li, page, Perm::kRead);
       }
-      CommitPermBatch(ctx);
+      ctx.perm_batch().Commit();
       bool other_writers = false;
       for (int li = 0; li < cfg_.procs_per_unit(); ++li) {
         if (li != holder_li && pl.PermOfLocal(li) == Perm::kReadWrite) {
@@ -526,7 +513,7 @@ void CashmereProtocol::ShootdownLocalWriters(Context& ctx, PageLocal& pl, PageId
   // The victims' hardware downgrades must land before the diff scan below:
   // a writer left RW past this point could dirty words the scan already
   // visited, losing the write.
-  CommitPermBatch(ctx);
+  ctx.perm_batch().Commit();
   if (pl.twin_valid && !UnitAtMaster(ctx.unit(), page)) {
     // The twin is discarded below, so a plain diff suffices (no flush-update).
     CoherenceRecord& rec = ctx.release_record();
@@ -664,7 +651,7 @@ void CashmereProtocol::OnFault(Context& ctx, PageId page, bool is_write) {
   // handler returns, so the upgrade must be in hardware here. Batch size is
   // normally 1 (plus anything a nested shootdown or break queued); the win
   // on this path is the shadow-table elision, not coalescing.
-  CommitPermBatch(ctx);
+  ctx.perm_batch().Commit();
   TraceEmit(EventKind::kFaultEnd, page, 0, is_write ? 1u : 0u, 0);
   ctx.SetDebugState(0, 0);
 }
@@ -918,7 +905,7 @@ void CashmereProtocol::ReleaseSync(Context& ctx, bool barrier_arrival) {
   // the FlushPage loop collapse into ranged mprotects. It must land before
   // the release completes — once a remote acquirer observes this release,
   // our writes here must fault again.
-  CommitPermBatch(ctx);
+  ctx.perm_batch().Commit();
   // Critical-path accounting for the sync-vs-async ablation
   // (bench_async_release): virtual nanoseconds from release entry to the
   // point where user execution may resume. In async mode the deferred
@@ -1056,7 +1043,7 @@ void CashmereProtocol::AcquireSync(Context& ctx) {
   // per-page locks above coalesce into ranged mprotects, and they must be
   // in hardware before the acquire returns — user code may read these
   // pages the next instruction.
-  CommitPermBatch(ctx);
+  ctx.perm_batch().Commit();
   ctx.SetDebugState(static_cast<int>(prev_state >> 56), prev_state & 0xffffffffull);
 }
 
@@ -1114,7 +1101,7 @@ void CashmereProtocol::FinalFlush(Context& ctx) {
   // Currently a no-op (the loop above copies through arena pointers and
   // queues nothing), but the end-of-run quiesce is an episode boundary and
   // keeps the inventory rule: no episode exits with a pending batch.
-  CommitPermBatch(ctx);
+  ctx.perm_batch().Commit();
 }
 
 // ---------------------------------------------------------------------------
@@ -1156,8 +1143,8 @@ void CashmereProtocol::MaybeFirstTouch(Context& ctx, PageId page) {
     const PageId first = static_cast<PageId>(sp * deps_.homes->superpage_pages());
     const PageId last = static_cast<PageId>(
         std::min<std::size_t>((sp + 1) * deps_.homes->superpage_pages(), cfg_.pages()));
-    for (PageId page = first; page < last && !any_exclusive; ++page) {
-      any_exclusive = deps_.dir->ExclusiveHolder(page) >= 0;
+    for (PageId pg = first; pg < last && !any_exclusive; ++pg) {
+      any_exclusive = deps_.dir->ExclusiveHolder(pg) >= 0;
     }
     if (!any_exclusive) {
       RelocateSuperpage(ctx, sp, ctx.unit());
@@ -1191,7 +1178,7 @@ void CashmereProtocol::RelocateSuperpage(Context& ctx, std::size_t sp, UnitId ne
     // The old-home downgrades must be in hardware before the master copy
     // moves below: a writer left RW would dirty the old frame after it was
     // copied, and the write would vanish.
-    CommitPermBatch(ctx);
+    ctx.perm_batch().Commit();
     // No twin-discard event for the old home: master units never hold twins
     // (and the event stream attributes sequenced events to the emitting
     // processor's unit, which is the new home here).
@@ -1241,27 +1228,23 @@ void CashmereProtocol::RelocateSuperpage(Context& ctx, std::size_t sp, UnitId ne
       const Arena& desired = now_master
                                  ? *(*deps_.arenas)[static_cast<std::size_t>(new_home)]
                                  : *(*deps_.arenas)[static_cast<std::size_t>(pu)];
-      if (cfg_.fault_mode == FaultMode::kSigsegv) {
-        ViewOf(p).RemapSuperpage(sp, desired);
-      }
+      ViewOf(p).RemapSuperpage(sp, desired);
       UnitState& pus = Unit(pu);
       for (PageId page = first; page < last; ++page) {
         PageLocal& pl = pus.Page(page);
         SpinLockGuard guard(pl.lock);
         pl.SetPermOfLocal(p - cfg_.FirstProcOfUnit(pu), Perm::kInvalid);
-        if (cfg_.fault_mode == FaultMode::kSigsegv) {
-          // Explicitly re-queue kInvalid for the remapped range: a batched
-          // entry for this (proc, page) committed between the remap and
-          // this store would have resolved against the pre-remap page
-          // table and re-opened the fresh PROT_NONE mapping. The entry
-          // re-asserts the page table's truth; in the common case the
-          // shadow already reads kInvalid and the commit elides it.
-          ctx.perm_batch().Add(p, page, Perm::kInvalid);
-        }
+        // Explicitly re-queue kInvalid for the remapped range: a batched
+        // entry for this (proc, page) committed between the remap and this
+        // store would have resolved against the pre-remap page table and
+        // re-opened the fresh PROT_NONE mapping. The entry re-asserts the
+        // page table's truth; in the common case the shadow already reads
+        // kInvalid and the commit elides it.
+        ctx.perm_batch().Add(p, page, Perm::kInvalid);
       }
     }
   }
-  CommitPermBatch(ctx);
+  ctx.perm_batch().Commit();
 }
 
 }  // namespace cashmere

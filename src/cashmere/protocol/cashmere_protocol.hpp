@@ -72,7 +72,8 @@ class CashmereProtocol : public RequestHandler {
   explicit CashmereProtocol(Deps deps);
 
   // --- Entry points -----------------------------------------------------
-  // Page fault by ctx's processor (from SIGSEGV or the software driver).
+  // Page fault by ctx's processor, delivered by the SIGSEGV handler
+  // (Runtime::HandleFault) — the only way a fault reaches the protocol.
   // Escaped from the thread-safety analysis: the fault loop conditionally
   // drops and retakes the page lock across iterations (fetch coalescing,
   // fetch-in-progress hand-off), a dance beyond what the static analysis
@@ -233,14 +234,13 @@ class CashmereProtocol : public RequestHandler {
   ProcId GlobalProc(UnitId unit, int local_index) const {
     return cfg_.FirstProcOfUnit(unit) + local_index;
   }
+  // Sets the page-table perm and queues the hardware change in ctx's
+  // PermBatch instead of issuing it. Every protocol episode that queued
+  // transitions must call ctx.perm_batch().Commit() before user code could
+  // observe a stale-loose hardware mapping; see DESIGN.md §11 for the
+  // commit-point inventory.
   void ProtectLocal(Context& ctx, PageLocal& pl, UnitId unit, int local_index, PageId page,
                     Perm perm) CSM_REQUIRES(pl.lock);
-  // Flushes the processor's queued permission changes as coalesced
-  // mprotect ranges (no-op outside SIGSEGV fault mode, where nothing is
-  // ever queued). Every protocol episode that queued transitions must call
-  // this before user code could observe a stale-loose hardware mapping;
-  // see DESIGN.md §11 for the commit-point inventory.
-  void CommitPermBatch(Context& ctx);
 
  public:
   // PermBatch resolver: re-reads the protocol's current per-processor perm

@@ -42,9 +42,9 @@ struct PageLocal {
   std::atomic<std::uint64_t> flush_vt{0};
 
   // Perm per local processor. Written only under the page lock; the atomic
-  // type exists for PermOfLocalRelaxed, the software-fault driver's
-  // per-access probe, which reads without the lock (previously a plain
-  // unlocked read — a data race against cross-processor downgrades).
+  // type exists for PermOfLocalRelaxed, which a PermBatch commit reads
+  // without the lock (CashmereProtocol::ResolveQueuedPerm) while other
+  // processors may be changing the same page's perms.
   std::atomic<std::uint8_t> proc_perm[kMaxProcsPerNode] = {};
   // Local procs holding the page dirty
   std::uint8_t dirty_mask CSM_GUARDED_BY(lock) = 0;
@@ -101,13 +101,11 @@ struct PageLocal {
   Perm PermOfLocal(int local_index) const CSM_REQUIRES(lock) {
     return static_cast<Perm>(proc_perm[local_index].load(std::memory_order_relaxed));
   }
-  // Unlocked fast-path probe (EnsureRead/EnsureWrite, per instrumented
-  // access). A stale read is benign: a racing *upgrade* only causes a
-  // spurious fault that re-validates under the lock, and a racing
-  // *downgrade* can be ordered before the probe anyway — equivalent to the
-  // access having happened just before the downgrader took the lock, which
-  // the flush discipline already tolerates (every flush rescans the whole
-  // page against the twin).
+  // Unlocked probe for the PermBatch commit resolver, which re-reads the
+  // current perm of a queued (proc, page) so the mapping follows the page
+  // table's latest truth, not the queued hint. A stale read is benign: the
+  // view commit lock orders commits, and the commit that follows the
+  // racing transition (every transition queues an entry) re-reads it.
   Perm PermOfLocalRelaxed(int local_index) const {
     return static_cast<Perm>(proc_perm[local_index].load(std::memory_order_relaxed));
   }

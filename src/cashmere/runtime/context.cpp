@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "cashmere/common/logging.hpp"
 #include "cashmere/runtime/runtime.hpp"
 
 namespace cashmere {
@@ -53,40 +52,6 @@ void Context::InitDone() { runtime_->EnableFirstTouchCollective(*this); }
 void Context::Poll() {
   runtime_->protocol().Poll(*this);
   runtime_->BumpProgress();
-}
-
-// Pages spanned by [addr, addr + bytes) (a zero-byte access checks the
-// page of `addr`). The range must lie inside the shared heap: page state is
-// indexed by page number with no further bounds check.
-std::pair<PageId, PageId> Context::HeapPages(const void* addr, std::size_t bytes) const {
-  const auto begin = reinterpret_cast<std::uintptr_t>(addr);
-  const auto base = reinterpret_cast<std::uintptr_t>(view_base_);
-  const std::size_t span = bytes == 0 ? 1 : bytes;
-  CSM_CHECK(begin >= base && begin - base <= runtime_->config().heap_bytes &&
-            span <= runtime_->config().heap_bytes - (begin - base) &&
-            "EnsureRead/EnsureWrite range lies outside the shared heap");
-  const GlobalAddr offset = begin - base;
-  return {PageOf(offset), PageOf(offset + span - 1)};
-}
-
-void Context::EnsureRead(const void* addr, std::size_t bytes) {
-  const auto [first, last] = HeapPages(addr, bytes);
-  for (PageId page = first; page <= last; ++page) {
-    if (runtime_->protocol().PageState(unit_, page).PermOfLocalRelaxed(local_index_) ==
-        Perm::kInvalid) {
-      runtime_->protocol().OnFault(*this, page, /*is_write=*/false);
-    }
-  }
-}
-
-void Context::EnsureWrite(void* addr, std::size_t bytes) {
-  const auto [first, last] = HeapPages(addr, bytes);
-  for (PageId page = first; page <= last; ++page) {
-    if (runtime_->protocol().PageState(unit_, page).PermOfLocalRelaxed(local_index_) !=
-        Perm::kReadWrite) {
-      runtime_->protocol().OnFault(*this, page, /*is_write=*/true);
-    }
-  }
 }
 
 }  // namespace cashmere

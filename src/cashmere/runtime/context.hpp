@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 #include "cashmere/common/config.hpp"
@@ -76,13 +75,6 @@ class Context {
     clock_.ExitProtocol();
   }
 
-  // Software fault mode: explicit access checks (FaultMode::kSoftware).
-  // They fault pages in with the needed permission and nothing more: like
-  // the SIGSEGV path, they never record which words a write touches. The
-  // range must lie inside the shared heap (checked).
-  void EnsureRead(const void* addr, std::size_t bytes = 1);
-  void EnsureWrite(void* addr, std::size_t bytes = 1);
-
   // --- Instrumentation --------------------------------------------------
   VirtualClock& clock() { return clock_; }
   Stats& stats() { return stats_; }
@@ -134,8 +126,6 @@ class Context {
 
  private:
   friend class Runtime;
-
-  std::pair<PageId, PageId> HeapPages(const void* addr, std::size_t bytes) const;
 
   ProcId proc_ = -1;
   NodeId node_ = -1;

@@ -70,11 +70,6 @@ Runtime::Runtime(Config cfg, SyncShape sync)
         }
       }
     }
-    if (cfg_.fault_mode == FaultMode::kSoftware) {
-      // Software fault mode: accesses are checked explicitly, so the view
-      // is opened whole with a single ranged mprotect.
-      views_.back()->ProtectRange(0, cfg_.pages(), Perm::kReadWrite);
-    }
   }
 
   CashmereProtocol::Deps deps;
@@ -338,9 +333,7 @@ void Runtime::Run(const std::function<void(Context&)>& body) {
   }
   const double scale = cfg_.cost.time_scale > 0 ? cfg_.cost.time_scale : HostToAlphaTimeScale();
 
-  if (cfg_.fault_mode == FaultMode::kSigsegv) {
-    FaultDispatcher::Instance().Register(this);
-  }
+  FaultDispatcher::Instance().Register(this);
   running_.store(true, std::memory_order_release);
   std::thread watchdog([this] { WatchdogLoop(); });
 
@@ -447,9 +440,7 @@ void Runtime::Run(const std::function<void(Context&)>& body) {
   }
   stop_cv_.notify_one();
   watchdog.join();
-  if (cfg_.fault_mode == FaultMode::kSigsegv) {
-    FaultDispatcher::Instance().Unregister(this);
-  }
+  FaultDispatcher::Instance().Unregister(this);
 
   if (trace_log_) {
     // Fold ring counters into per-processor stats after the join (the join

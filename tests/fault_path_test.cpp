@@ -4,6 +4,9 @@
 // objects spanning superpage boundaries.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstddef>
+
 #include "cashmere/runtime/runtime.hpp"
 
 namespace cashmere {
@@ -118,50 +121,45 @@ TEST(FaultPathTest, DenselySharedPageManyWriters) {
   });
 }
 
-TEST(FaultPathTest, SoftwareModeSpanningEnsureCalls) {
-  Config cfg = FpConfig(2, 2);
-  cfg.fault_mode = FaultMode::kSoftware;
-  Runtime rt(cfg);
+TEST(FaultPathTest, MultiPageWriteThenMiddlePagesRead) {
+  Runtime rt(FpConfig(2, 2));
   const GlobalAddr a = rt.heap().AllocPageAligned(4 * kPageBytes);
   rt.Run([&](Context& ctx) {
     int* p = ctx.Ptr<int>(a);
     if (ctx.proc() == 0) {
-      ctx.EnsureWrite(p, 4 * kPageBytes);  // multi-page ensure
-      for (int i = 0; i < 4 * 2048; ++i) {
+      for (int i = 0; i < 4 * 2048; ++i) {  // one write fault per page
         p[i] = i;
       }
     }
     ctx.Barrier(0);
-    ctx.EnsureRead(p + 4096, 2 * kPageBytes);  // middle pages only
-    EXPECT_EQ(p[4096], 4096);
+    EXPECT_EQ(p[4096], 4096);  // middle pages only
     EXPECT_EQ(p[8191], 8191);
     ctx.Barrier(0);
   });
 }
 
-// Page state is indexed by page number, so an access check for a range
-// outside the shared heap must abort rather than read past the page table.
-TEST(FaultPathDeathTest, EnsureOutsideSharedHeapAborts) {
+// Views are per-processor, like per-process mappings on the real system:
+// an access to another processor's view is a program error, and the fault
+// handler names both processors before the default SIGSEGV action kills
+// the process.
+TEST(FaultPathDeathTest, TouchingAnotherProcessorsViewAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Config cfg = FpConfig(1, 1);
-  cfg.fault_mode = FaultMode::kSoftware;
-  const auto ensure = [cfg](std::ptrdiff_t offset, std::size_t bytes, bool write) {
+  const Config cfg = FpConfig(2, 1);
+  const auto touch = [cfg] {
     Runtime rt(cfg);
+    std::atomic<std::byte*> other{nullptr};
     rt.Run([&](Context& ctx) {
-      std::byte* p = ctx.view_base() + offset;
-      if (write) {
-        ctx.EnsureWrite(p, bytes);
-      } else {
-        ctx.EnsureRead(p, bytes);
+      if (ctx.proc() == 1) {
+        other.store(ctx.view_base());
       }
+      ctx.Barrier(0);
+      if (ctx.proc() == 0) {
+        *reinterpret_cast<volatile int*>(other.load()) = 1;
+      }
+      ctx.Barrier(0);
     });
   };
-  // Straddles the heap's end, starts one byte past it, and precedes it.
-  const auto heap = static_cast<std::ptrdiff_t>(cfg.heap_bytes);
-  EXPECT_DEATH(ensure(heap - 4, 8, /*write=*/true), "outside the shared heap");
-  EXPECT_DEATH(ensure(heap, 1, /*write=*/false), "outside the shared heap");
-  EXPECT_DEATH(ensure(-static_cast<std::ptrdiff_t>(kPageBytes), 4, /*write=*/false),
-               "outside the shared heap");
+  EXPECT_DEATH(touch(), "processor 0 touched processor 1's view");
 }
 
 TEST(FaultPathTest, ColdReadOfZeroFilledHeap) {

@@ -1,7 +1,7 @@
 // Protocol-level behavioural tests: timestamps, fetch coalescing, twin
-// lifecycle, write-notice-driven invalidation, flush skip rules. These use
-// the runtime with the software fault driver where direct state inspection
-// is needed.
+// lifecycle, write-notice-driven invalidation, flush skip rules. Each test
+// drives the runtime with plain accesses (faults arrive through SIGSEGV)
+// and checks the protocol's behaviour through its counters and results.
 #include <gtest/gtest.h>
 
 #include <atomic>

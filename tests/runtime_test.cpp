@@ -149,31 +149,6 @@ TEST(RuntimeTest, FlagsProvideProducerConsumerOrdering) {
   });
 }
 
-TEST(RuntimeTest, SoftwareFaultModeMatchesSigsegv) {
-  Config cfg = SmallConfig(ProtocolVariant::kTwoLevel, 2, 2);
-  cfg.fault_mode = FaultMode::kSoftware;
-  Runtime rt(cfg);
-  constexpr int kN = 4000;
-  const GlobalAddr a = rt.AllocArray<int>(kN);
-  rt.Run([&](Context& ctx) {
-    int* p = ctx.Ptr<int>(a);
-    const int chunk = kN / ctx.total_procs();
-    const int begin = ctx.proc() * chunk;
-    ctx.EnsureWrite(p + begin, chunk * sizeof(int));
-    for (int i = begin; i < begin + chunk; ++i) {
-      p[i] = i;
-    }
-    ctx.Barrier(0);
-    ctx.EnsureRead(p, kN * sizeof(int));
-    long sum = 0;
-    for (int i = 0; i < kN; ++i) {
-      sum += p[i];
-    }
-    EXPECT_EQ(sum, static_cast<long>(kN) * (kN - 1) / 2);
-    ctx.Barrier(0);
-  });
-}
-
 TEST(RuntimeTest, MultipleRunPhasesShareCoherenceState) {
   Runtime rt(SmallConfig(ProtocolVariant::kTwoLevel, 2, 2));
   const GlobalAddr a = rt.AllocArray<int>(2048);

@@ -89,10 +89,10 @@ TEST_P(StatsInvariantTest, GlobalLockVariantMatchesLockFreeCounts) {
   ASSERT_TRUE(locked.verified);
 }
 
-// Software fault mode round trip: writes made through two successive twins
-// of one page reach the other unit, and the wire replay accounts exactly
-// the bytes the encoder emitted.
-TEST(SoftwareFaultModeStatsTest, TwinRoundTripAppliesEveryRunByte) {
+// Twin round trip: writes made through two successive twins of one page
+// reach the other unit, and the wire replay accounts exactly the bytes the
+// encoder emitted.
+TEST(TwinRoundTripStatsTest, TwinRoundTripAppliesEveryRunByte) {
   Config cfg;
   cfg.protocol = ProtocolVariant::kTwoLevel;
   cfg.nodes = 2;
@@ -100,7 +100,6 @@ TEST(SoftwareFaultModeStatsTest, TwinRoundTripAppliesEveryRunByte) {
   cfg.heap_bytes = 256 * 1024;
   cfg.cost.time_scale = 5.0;
   cfg.first_touch = false;
-  cfg.fault_mode = FaultMode::kSoftware;
   Runtime rt(cfg);
   const GlobalAddr addr = rt.heap().AllocPageAligned(kPageBytes);
 
@@ -109,25 +108,21 @@ TEST(SoftwareFaultModeStatsTest, TwinRoundTripAppliesEveryRunByte) {
     if (ctx.unit() == 0 && ctx.local_index() == 0) {
       // Register unit 0 in the sharing set so unit 1 writes through a twin
       // rather than claiming the page exclusively.
-      ctx.EnsureWrite(p, sizeof(std::uint32_t));
       p[0] = 0xA0u;
     }
     ctx.Barrier(0);
     if (ctx.unit() == 1 && ctx.local_index() == 0) {
       // First twin: the write fault creates it and the barrier flush diffs
       // it out before tearing the twin down.
-      ctx.EnsureWrite(p + 1, sizeof(std::uint32_t));
       p[1] = 0xA1u;
     }
     ctx.Barrier(1);
     if (ctx.unit() == 1 && ctx.local_index() == 0) {
       // Second twin of the same page: a fresh write fault, a fresh diff.
-      ctx.EnsureWrite(p + 2, sizeof(std::uint32_t));
       p[2] = 0xA2u;
     }
     ctx.Barrier(2);
     if (ctx.unit() == 0 && ctx.local_index() == 0) {
-      ctx.EnsureRead(p, 3 * sizeof(std::uint32_t));
       EXPECT_EQ(p[0], 0xA0u);
       EXPECT_EQ(p[1], 0xA1u);
       EXPECT_EQ(p[2], 0xA2u);

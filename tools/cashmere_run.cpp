@@ -126,7 +126,8 @@ int main(int argc, char** argv) {
   }
 
   const AppRunResult r = RunApp(kind, cfg, size_class);
-  std::printf("%s on %s  [%s]\n", AppName(kind), cfg.Describe().c_str(),
+  // r.cfg, not cfg: RunApp sizes the heap per app.
+  std::printf("%s on %s  [%s]\n", AppName(kind), r.cfg.Describe().c_str(),
               r.verified ? "VERIFIED" : "VERIFICATION FAILED");
   std::printf("  sequential (Alpha-equivalent): %.4f s\n", r.seq_alpha_seconds);
   std::printf("  parallel (virtual):            %.4f s\n", r.report.ExecTimeSec());
